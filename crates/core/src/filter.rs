@@ -11,40 +11,77 @@ use softpipe::Texture;
 
 /// Box blur with a square kernel of half-width `radius` texels, using a
 /// separable two-pass implementation with edge clamping.
+///
+/// Both passes add whole row slices, so their inner loops are lane-wise adds
+/// the compiler vectorizes. The horizontal pass adds the `2·radius + 1`
+/// shifted source slices over the interior columns; only the `radius`
+/// columns at each edge, whose windows leave the row, keep a clamped
+/// per-texel loop. The vertical pass adds the `2·radius + 1` clamped rows of
+/// the intermediate texture a whole row at a time. Each texel still sums its
+/// taps from `0.0` in ascending tap order before scaling, so the output is
+/// bit-identical to the per-texel formulation.
 pub fn box_blur(texture: &Texture, radius: usize) -> Texture {
     if radius == 0 {
         return texture.clone();
     }
     let w = texture.width();
     let h = texture.height();
-    let r = radius as isize;
-    let norm = 1.0 / (2 * radius + 1) as f32;
+    let taps = 2 * radius + 1;
+    let norm = 1.0 / taps as f32;
+    // Columns `interior` have their whole window inside the row; the rest
+    // are edge columns (all of them when `w <= 2 * radius`).
+    let interior = radius.min(w)..w.saturating_sub(radius).max(radius.min(w));
 
-    // Horizontal pass.
+    // Horizontal pass, one row at a time; `Texture::new` zeroes the
+    // accumulators.
     let mut tmp = Texture::new(w, h);
-    for y in 0..h {
-        for x in 0..w {
-            let mut acc = 0.0f32;
-            for dx in -r..=r {
-                let sx = (x as isize + dx).clamp(0, w as isize - 1) as usize;
-                acc += texture.texel(sx, y);
+    for (src, dst) in texture
+        .data()
+        .chunks_exact(w)
+        .zip(tmp.data_mut().chunks_exact_mut(w))
+    {
+        if !interior.is_empty() {
+            let acc = &mut dst[interior.clone()];
+            for tap in 0..taps {
+                add_assign(acc, &src[tap..]);
             }
-            *tmp.texel_mut(x, y) = acc * norm;
+            scale(acc, norm);
+        }
+        for x in (0..interior.start).chain(interior.end..w) {
+            let mut sum = 0.0f32;
+            for tap in 0..taps {
+                sum += src[(x + tap).saturating_sub(radius).min(w - 1)];
+            }
+            dst[x] = sum * norm;
         }
     }
-    // Vertical pass.
+    // Vertical pass: output row `y` adds the clamped rows `y - r ..= y + r`.
     let mut out = Texture::new(w, h);
-    for y in 0..h {
-        for x in 0..w {
-            let mut acc = 0.0f32;
-            for dy in -r..=r {
-                let sy = (y as isize + dy).clamp(0, h as isize - 1) as usize;
-                acc += tmp.texel(x, sy);
-            }
-            *out.texel_mut(x, y) = acc * norm;
+    let rows = tmp.data();
+    for (y, acc) in out.data_mut().chunks_exact_mut(w).enumerate() {
+        for tap in 0..taps {
+            let sy = (y + tap).saturating_sub(radius).min(h - 1);
+            add_assign(acc, &rows[sy * w..]);
         }
+        scale(acc, norm);
     }
     out
+}
+
+/// `acc[i] += src[i]` over `acc`.
+#[inline]
+fn add_assign(acc: &mut [f32], src: &[f32]) {
+    for (a, s) in acc.iter_mut().zip(src) {
+        *a += *s;
+    }
+}
+
+/// `acc[i] *= norm` over `acc`.
+#[inline]
+fn scale(acc: &mut [f32], norm: f32) {
+    for a in acc {
+        *a *= norm;
+    }
 }
 
 /// High-pass filter: subtracts the local mean (a box blur of half-width
@@ -90,6 +127,80 @@ pub fn standard_postprocess(texture: &Texture, spot_radius_pixels: f64) -> Textu
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-texel box blur [`box_blur`] replaced: every output texel sums
+    /// its clamped taps from `0.0` in ascending order, first along the row,
+    /// then down the column.
+    fn box_blur_per_texel(texture: &Texture, radius: usize) -> Texture {
+        if radius == 0 {
+            return texture.clone();
+        }
+        let w = texture.width();
+        let h = texture.height();
+        let r = radius as isize;
+        let norm = 1.0 / (2 * radius + 1) as f32;
+        let mut tmp = Texture::new(w, h);
+        for y in 0..h {
+            for x in 0..w {
+                let mut acc = 0.0f32;
+                for dx in -r..=r {
+                    let sx = (x as isize + dx).clamp(0, w as isize - 1) as usize;
+                    acc += texture.texel(sx, y);
+                }
+                *tmp.texel_mut(x, y) = acc * norm;
+            }
+        }
+        let mut out = Texture::new(w, h);
+        for y in 0..h {
+            for x in 0..w {
+                let mut acc = 0.0f32;
+                for dy in -r..=r {
+                    let sy = (y as isize + dy).clamp(0, h as isize - 1) as usize;
+                    acc += tmp.texel(x, sy);
+                }
+                *out.texel_mut(x, y) = acc * norm;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn row_slice_blur_is_bit_identical_to_per_texel_blur() {
+        // Values of mixed sign and magnitude, so the summation order shows
+        // in the rounding.
+        let noisy = |w, h| {
+            Texture::from_fn(w, h, |u, v| {
+                let s = ((u * 91.7 + v * 37.3).sin() * 4375.85).fract();
+                s * if (u * 13.0) as i32 % 3 == 0 {
+                    1e3
+                } else {
+                    1e-2
+                }
+            })
+        };
+        for (w, h, radius) in [
+            (16, 16, 0),   // identity
+            (64, 64, 3),   // interior and edge columns
+            (8, 8, 4),     // w <= 2r: every column is an edge column
+            (9, 9, 4),     // one interior column
+            (5, 7, 9),     // radius >= width and height
+            (40, 17, 6),   // non-square
+            (17, 40, 6),   // non-square, taller than wide
+            (1, 32, 2),    // one texel wide
+            (32, 1, 2),    // one texel high
+            (1, 1, 3),     // a single texel
+            (256, 256, 9), // the display filter's size
+        ] {
+            let t = noisy(w, h);
+            let fast = box_blur(&t, radius);
+            let slow = box_blur_per_texel(&t, radius);
+            assert_eq!(
+                fast.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                slow.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "{w}x{h} r={radius}"
+            );
+        }
+    }
 
     fn ramp(n: usize) -> Texture {
         Texture::from_fn(n, n, |u, v| u + 0.5 * v)

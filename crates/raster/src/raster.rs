@@ -21,6 +21,35 @@
 //! fast path: flat spot textures reduce to a vectorizable `dst += const`
 //! loop).
 //!
+//! Bounding boxes narrower than `NARROW_TRIANGLE_WIDTH` skip the span search
+//! and test the coverage predicate per pixel instead (`walk_narrow`): for a
+//! few-pixel triangle the searches cost more than the tests they save.
+//!
+//! # The mesh cell walker
+//!
+//! Bent-spot meshes are made of small cells, each split along its
+//! `v00`–`v11` diagonal into `A = (v00, v10, v11)` and `B = (v00, v11, v01)`,
+//! with a few fragments per triangle — so per-triangle setup and the
+//! bounding-box walk used to cost more than the fragments.
+//! `rasterize_cell_row` walks a mesh row cell by cell instead. It sets up both
+//! triangles as usual; when both set up, have the same winding and their
+//! union box is narrower than `NARROW_TRIANGLE_WIDTH`, `walk_cell` scans that
+//! union box once. Per pixel, one evaluation of the shared diagonal picks A
+//! or B — canonical edge evaluation (see *Fill rule*) makes the diagonal's
+//! predicate exactly complementary between the two — and the pixel is then
+//! tested against that triangle's own box and other two edges, and shaded
+//! with that triangle's own uv planes. A and B are disjoint, so every pixel
+//! is blended at most once, with the value the per-triangle path gives it.
+//!
+//! Every other cell takes the per-triangle path, A then B: twisted or folded
+//! cells (the windings differ, so the triangles overlap), wide cells (the
+//! span walker is faster there), and cells with a rejected triangle. The walk
+//! is generic over the per-fragment sample, so Exact (bilinear) and
+//! Footprint (nearest fetch at the level the mesh row selected) share it;
+//! the selection depends only on the cell's own geometry. The oracle tests
+//! in this module check it against the reference path on production-shaped
+//! meshes, in every blend mode, at every SIMD level.
+//!
 //! A naive per-pixel reference rasterizer is retained behind
 //! `#[cfg(any(test, feature = "reference"))]` as the correctness oracle and
 //! benchmark baseline. It keeps the pre-optimization *scan structure* (full
@@ -173,11 +202,25 @@ struct RowEdge {
 
 impl RowEdge {
     /// Inside-test at pixel column `px`. This is THE coverage predicate:
-    /// both the span walker (at span boundaries) and the reference path (at
-    /// every pixel) call it, so coverage decisions agree bit-for-bit.
+    /// the span walker (at span boundaries), the narrow walkers and the
+    /// reference path (at every pixel) all call it, so coverage decisions
+    /// agree bit-for-bit.
     #[inline]
     fn covers(&self, px: usize) -> bool {
-        let e = self.c + px as f64 * self.a;
+        self.test(self.value(px))
+    }
+
+    /// The edge value at pixel column `px`.
+    #[inline]
+    fn value(&self, px: usize) -> f64 {
+        self.c + px as f64 * self.a
+    }
+
+    /// The coverage predicate applied to an edge value from [`Self::value`].
+    /// Two triangles sharing an edge evaluate the same value and apply
+    /// opposite `flip` and `accept`, so exactly one of them accepts it.
+    #[inline]
+    fn test(&self, e: f64) -> bool {
         if self.flip {
             e < 0.0 || (e == 0.0 && self.accept)
         } else {
@@ -297,6 +340,9 @@ struct TriSetup {
     edges: [EdgeFn; 3],
     u_plane: AttrPlane,
     v_plane: AttrPlane,
+    /// Whether the submitted winding was clockwise, so setup swapped `v1`
+    /// and `v2`.
+    flipped: bool,
 }
 
 impl TriSetup {
@@ -318,10 +364,10 @@ impl TriSetup {
         }
         // Normalise to counter-clockwise winding so the fill rule is
         // consistent.
-        let (v0, v1, v2) = if area > 0.0 {
-            (v0, v1, v2)
+        let (v0, v1, v2, flipped) = if area > 0.0 {
+            (v0, v1, v2, false)
         } else {
-            (v0, v2, v1)
+            (v0, v2, v1, true)
         };
         let area = area.abs();
 
@@ -377,6 +423,7 @@ impl TriSetup {
             ],
             u_plane,
             v_plane,
+            flipped,
         })
     }
 }
@@ -477,62 +524,108 @@ pub(crate) fn fill_lane_blocked(
     }
 }
 
-/// Span-walking rasterization of a set-up triangle (no vertex counting).
-/// The blend-mode dispatch happens once per triangle; the row loop and span
-/// fills run on a monomorphized `apply` closure.
-fn rasterize_setup_span(
+/// How a primitive's fragments are shaded: the texture it samples and the
+/// filter it samples it with. Coverage never depends on the shading.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Shading<'a> {
+    /// Exact mode: bilinear filtering of the spot texture.
+    Bilinear(&'a Texture),
+    /// Footprint mode: one nearest fetch from an already chosen (prefiltered)
+    /// pyramid level.
+    Nearest(&'a Texture),
+}
+
+/// The per-fragment sample of [`Shading::Bilinear`] at `(u, v)`, scaled by
+/// `intensity`.
+#[inline(always)]
+fn bilinear_sampler(spot: &Texture, intensity: f32) -> impl Fn(f32, f32) -> f32 + '_ {
+    move |u, v| spot.sample_bilinear(u, v) * intensity
+}
+
+/// The per-fragment sample of [`Shading::Nearest`] at `(u, v)`, scaled by
+/// `intensity`.
+#[inline(always)]
+fn nearest_sampler(tex: &Texture, intensity: f32) -> impl Fn(f32, f32) -> f32 + '_ {
+    let (tw, th, texels) = (tex.width(), tex.height(), tex.data());
+    move |u, v| texels[nearest_index(v, th) * tw + nearest_index(u, tw)] * intensity
+}
+
+/// Rasterizes a set-up triangle (no vertex counting): narrow bounding boxes
+/// take the per-fragment [`walk_narrow`], wider ones the span walker, whose
+/// fills run on the SIMD kernels.
+fn rasterize_setup(
     target: &mut Texture,
-    spot_texture: &Texture,
+    shading: Shading,
     setup: &TriSetup,
     intensity: f32,
     blend: BlendMode,
     stats: &mut RasterStats,
 ) {
     if setup.x1 - setup.x0 < NARROW_TRIANGLE_WIDTH {
-        // Narrow triangles keep a per-fragment loop with the blend
-        // monomorphized per triangle; keeping it in its own small function
-        // (instead of one arm of a big fused walker) is what lets the
-        // compiler register-allocate the sampling-bound loop well.
-        match blend {
-            BlendMode::Additive => {
-                walk_narrow(target, spot_texture, setup, intensity, stats, |d, s| d + s)
-            }
-            mode => walk_narrow(
+        match shading {
+            Shading::Bilinear(spot) => walk_narrow_blended(
                 target,
-                spot_texture,
                 setup,
-                intensity,
+                blend,
                 stats,
-                move |d, s| mode.apply(d, s),
+                bilinear_sampler(spot, intensity),
             ),
+            Shading::Nearest(tex) => {
+                walk_narrow_blended(target, setup, blend, stats, nearest_sampler(tex, intensity))
+            }
         }
     } else {
-        walk_spans_wide(target, spot_texture, setup, intensity, blend, stats);
+        match shading {
+            Shading::Bilinear(spot) => {
+                walk_spans_wide(target, spot, setup, intensity, blend, stats)
+            }
+            Shading::Nearest(tex) => {
+                walk_spans_wide_nearest(target, tex, setup, intensity, blend, stats)
+            }
+        }
     }
 }
 
-/// Bounding boxes narrower than this skip the span search: the few-pixel
-/// triangles of bent-spot meshes are bound by texture sampling, not by
-/// inside-tests, so the per-row boundary searches cost more than they save.
-/// The narrow path evaluates the same predicate per pixel and shades with
-/// the same arithmetic, so outputs remain pixel-identical.
+/// Dispatches the blend mode once per triangle: additive blending (the spot
+/// noise sum) gets its own monomorphized copy of [`walk_narrow`].
+#[inline(always)]
+fn walk_narrow_blended<S: Fn(f32, f32) -> f32>(
+    target: &mut Texture,
+    setup: &TriSetup,
+    blend: BlendMode,
+    stats: &mut RasterStats,
+    sample: S,
+) {
+    match blend {
+        BlendMode::Additive => walk_narrow(target, setup, stats, sample, |d, s| d + s),
+        mode => walk_narrow(target, setup, stats, sample, move |d, s| mode.apply(d, s)),
+    }
+}
+
+/// Bounding boxes narrower than this skip the span search: few-pixel
+/// triangles are bound by texture sampling and per-row setup, not by
+/// inside-tests, so per-row boundary searches cost more than they save. The
+/// same bound decides whether a mesh cell is scanned as one box by
+/// [`walk_cell`]. Both narrow walkers evaluate the same predicate per pixel
+/// and shade with the same arithmetic, so outputs remain pixel-identical.
 const NARROW_TRIANGLE_WIDTH: usize = 12;
 
-/// The narrow-triangle walker: the per-pixel coverage loop with per-triangle
-/// monomorphized blending, bilinear sampling. Structure (and therefore
-/// output) identical to the pre-lane-block implementation.
+/// The narrow-triangle walker: the per-pixel coverage loop over the
+/// bounding box, shading each covered fragment with `sample` (bilinear in
+/// Exact mode, one nearest fetch in Footprint mode) and blending it with
+/// `apply`, both monomorphized per triangle. Mesh cells reach it only when
+/// they cannot be fused (see [`rasterize_cell_row`]); lone triangles and
+/// small quads always do.
 ///
-/// `#[inline(never)]` is load-bearing: each monomorphized copy must stay a
-/// standalone function. Inlining both blend copies into the dispatcher
-/// measurably slowed the ~200 ns/triangle bent meshes (the 32x17 case
-/// dropped ~10%) through worse register allocation of the shared loop.
+/// `#[inline(never)]` keeps each monomorphized copy a standalone function,
+/// so the register allocation of its sampling-bound loop does not depend on
+/// the dispatcher it is called from.
 #[inline(never)]
-fn walk_narrow<F: Fn(f32, f32) -> f32>(
+fn walk_narrow<S: Fn(f32, f32) -> f32, F: Fn(f32, f32) -> f32>(
     target: &mut Texture,
-    spot_texture: &Texture,
     setup: &TriSetup,
-    intensity: f32,
     stats: &mut RasterStats,
+    sample: S,
     apply: F,
 ) {
     let width = target.width();
@@ -550,9 +643,7 @@ fn walk_narrow<F: Fn(f32, f32) -> f32>(
             if !(e0.covers(px) && e1.covers(px) && e2.covers(px)) {
                 continue;
             }
-            let u = u_row.at(px) as f32;
-            let v = v_row.at(px) as f32;
-            let sample = spot_texture.sample_bilinear(u, v) * intensity;
+            let sample = sample(u_row.at(px) as f32, v_row.at(px) as f32);
             *dst = apply(*dst, sample);
             stats.fragments += 1;
         }
@@ -634,7 +725,8 @@ fn rasterize_setup_footprint(
         pyramid.base().width() as f64,
         pyramid.base().height() as f64,
     ));
-    rasterize_setup_footprint_at(target, pyramid.level(level), setup, intensity, blend, stats);
+    let shading = Shading::Nearest(pyramid.level(level));
+    rasterize_setup(target, shading, setup, intensity, blend, stats);
 }
 
 /// The footprint step of a set-up triangle: base texels covered per pixel
@@ -676,77 +768,12 @@ pub(crate) fn triangle_footprint_step(
     Some(step_u.max(step_v) as f32)
 }
 
-/// Rasterizes a set-up triangle with nearest sampling of one already-chosen
-/// pyramid level `tex` (shared by per-triangle and per-row level selection).
-fn rasterize_setup_footprint_at(
-    target: &mut Texture,
-    tex: &Texture,
-    setup: &TriSetup,
-    intensity: f32,
-    blend: BlendMode,
-    stats: &mut RasterStats,
-) {
-    if setup.x1 - setup.x0 < NARROW_TRIANGLE_WIDTH {
-        match blend {
-            BlendMode::Additive => {
-                walk_narrow_nearest(target, tex, setup, intensity, stats, |d, s| d + s)
-            }
-            mode => walk_narrow_nearest(target, tex, setup, intensity, stats, move |d, s| {
-                mode.apply(d, s)
-            }),
-        }
-    } else {
-        walk_spans_wide_nearest(target, tex, setup, intensity, blend, stats);
-    }
-}
-
 /// Nearest-sample index of `coord` in a `len`-texel axis, matching
 /// [`Texture::sample_nearest`]'s clamping exactly (also the scalar oracle of
 /// the SIMD nearest fills).
 #[inline(always)]
 pub(crate) fn nearest_index(coord: f32, len: usize) -> usize {
     ((coord * len as f32) as isize).clamp(0, len as isize - 1) as usize
-}
-
-/// The narrow-triangle walker with nearest sampling of one (prefiltered)
-/// texture level — the footprint-mode twin of [`walk_narrow`]. Same setup,
-/// same coverage predicate; only the shading differs: one clamped fetch
-/// instead of the bilinear kernel, which is what makes sampling-bound bent
-/// meshes fast.
-#[inline(never)]
-fn walk_narrow_nearest<F: Fn(f32, f32) -> f32>(
-    target: &mut Texture,
-    tex: &Texture,
-    setup: &TriSetup,
-    intensity: f32,
-    stats: &mut RasterStats,
-    apply: F,
-) {
-    let width = target.width();
-    let data = target.data_mut();
-    let tw = tex.width();
-    let th = tex.height();
-    let texels = tex.data();
-    for py in setup.y0..=setup.y1 {
-        let e0 = setup.edges[0].row(py);
-        let e1 = setup.edges[1].row(py);
-        let e2 = setup.edges[2].row(py);
-        let u_row = setup.u_plane.row(py);
-        let v_row = setup.v_plane.row(py);
-        let row_start = py * width;
-        let row = &mut data[row_start + setup.x0..=row_start + setup.x1];
-        for (offset, dst) in row.iter_mut().enumerate() {
-            let px = setup.x0 + offset;
-            if !(e0.covers(px) && e1.covers(px) && e2.covers(px)) {
-                continue;
-            }
-            let tx = nearest_index(u_row.at(px) as f32, tw);
-            let ty = nearest_index(v_row.at(px) as f32, th);
-            let sample = texels[ty * tw + tx] * intensity;
-            *dst = apply(*dst, sample);
-            stats.fragments += 1;
-        }
-    }
 }
 
 /// The wide-triangle walker with nearest sampling — the footprint-mode twin
@@ -792,6 +819,222 @@ fn walk_spans_wide_nearest(
     }
 }
 
+/// One triangle of a fused mesh cell restricted to one scanline: its
+/// column range (empty outside its bounding box), the shared diagonal as
+/// this triangle evaluates it, its two other edges and its own uv rows.
+#[derive(Debug, Clone, Copy)]
+struct CellTriangleRow {
+    x0: usize,
+    x1: usize,
+    diagonal: RowEdge,
+    others: [RowEdge; 2],
+    u_row: AttrRow,
+    v_row: AttrRow,
+}
+
+impl CellTriangleRow {
+    /// Specializes `setup`, whose edge `diagonal` (1 or 2) is the shared
+    /// one, for scanline `py`.
+    #[inline]
+    fn new(setup: &TriSetup, diagonal: usize, py: usize) -> CellTriangleRow {
+        let (x0, x1) = if (setup.y0..=setup.y1).contains(&py) {
+            (setup.x0, setup.x1)
+        } else {
+            (usize::MAX, 0)
+        };
+        CellTriangleRow {
+            x0,
+            x1,
+            diagonal: setup.edges[diagonal].row(py),
+            others: [setup.edges[0].row(py), setup.edges[3 - diagonal].row(py)],
+            u_row: setup.u_plane.row(py),
+            v_row: setup.v_plane.row(py),
+        }
+    }
+}
+
+/// A mesh cell whose two triangles `A = (v00, v10, v11)` and
+/// `B = (v00, v11, v01)` are scanned as one box (see [`walk_cell`]).
+#[derive(Debug, Clone, Copy)]
+struct FusedCell<'a> {
+    x0: usize,
+    x1: usize,
+    y0: usize,
+    y1: usize,
+    /// A and B, each with the index of its diagonal edge.
+    triangles: [(&'a TriSetup, usize); 2],
+}
+
+impl<'a> FusedCell<'a> {
+    /// Fuses the set-up triangles `a` and `b` of one cell, or `None` when
+    /// the cell must take the per-triangle path: the windings differ (a
+    /// twisted or folded cell, whose triangles overlap) or the union box is
+    /// not narrower than [`NARROW_TRIANGLE_WIDTH`].
+    fn fuse(a: &'a TriSetup, b: &'a TriSetup) -> Option<FusedCell<'a>> {
+        if a.flipped != b.flipped {
+            return None;
+        }
+        let (x0, x1) = (a.x0.min(b.x0), a.x1.max(b.x1));
+        if x1 - x0 >= NARROW_TRIANGLE_WIDTH {
+            return None;
+        }
+        // `TriSetup::new` builds edges (v1, v2), (v2, v0), (v0, v1) after
+        // swapping v1 and v2 of a clockwise triangle, so the v00–v11
+        // diagonal is A's edge 1 and B's edge 2, or the reverse when both
+        // were flipped.
+        let (diag_a, diag_b) = if a.flipped { (2, 1) } else { (1, 2) };
+        // A and B traverse the diagonal in opposite directions, so they
+        // build its linear form from the same canonical endpoints (bit-equal
+        // coefficients) with opposite `flip`, and at most one of them accepts
+        // any edge value. Only NaN coordinates break the canonical order;
+        // such cells take the per-triangle path.
+        if a.edges[diag_a].flip == b.edges[diag_b].flip {
+            return None;
+        }
+        Some(FusedCell {
+            x0,
+            x1,
+            y0: a.y0.min(b.y0),
+            y1: a.y1.max(b.y1),
+            triangles: [(a, diag_a), (b, diag_b)],
+        })
+    }
+}
+
+/// Rasterizes the row of mesh cells between the vertex rows `top` and
+/// `bottom` (equal lengths; cell `c` has corners `v00 = top[c]`,
+/// `v10 = top[c + 1]`, `v01 = bottom[c]`, `v11 = bottom[c + 1]` and
+/// triangles `A = (v00, v10, v11)`, `B = (v00, v11, v01)`). No vertex
+/// counting: meshes count one vertex per node up front.
+///
+/// Cells that [`FusedCell::fuse`] accepts are scanned once by
+/// [`walk_cell`]; every other cell, and every cell with a rejected
+/// triangle, takes the per-triangle path, A then B. The shading and the
+/// blend mode are dispatched once per row; additive blending (the spot
+/// noise sum) gets its own monomorphized copy of the cell loop.
+pub(crate) fn rasterize_cell_row(
+    target: &mut Texture,
+    top: &[Vertex],
+    bottom: &[Vertex],
+    shading: Shading,
+    intensity: f32,
+    blend: BlendMode,
+    stats: &mut RasterStats,
+) {
+    let row = CellRow {
+        top,
+        bottom,
+        shading,
+        intensity,
+        blend,
+    };
+    let add = |d: f32, s: f32| d + s;
+    let apply = move |d: f32, s: f32| blend.apply(d, s);
+    match (shading, blend) {
+        (Shading::Bilinear(spot), BlendMode::Additive) => {
+            row.walk(target, stats, bilinear_sampler(spot, intensity), add)
+        }
+        (Shading::Bilinear(spot), _) => {
+            row.walk(target, stats, bilinear_sampler(spot, intensity), apply)
+        }
+        (Shading::Nearest(tex), BlendMode::Additive) => {
+            row.walk(target, stats, nearest_sampler(tex, intensity), add)
+        }
+        (Shading::Nearest(tex), _) => {
+            row.walk(target, stats, nearest_sampler(tex, intensity), apply)
+        }
+    }
+}
+
+/// One row of mesh cells and how to paint it (see [`rasterize_cell_row`]).
+#[derive(Clone, Copy)]
+struct CellRow<'a> {
+    top: &'a [Vertex],
+    bottom: &'a [Vertex],
+    shading: Shading<'a>,
+    intensity: f32,
+    blend: BlendMode,
+}
+
+impl CellRow<'_> {
+    /// The cell loop, monomorphized per shading and blend: `sample` and
+    /// `apply` serve the fused cells, the row's shading, intensity and blend
+    /// the per-triangle fallback.
+    #[inline(never)]
+    fn walk<S: Fn(f32, f32) -> f32, F: Fn(f32, f32) -> f32>(
+        &self,
+        target: &mut Texture,
+        stats: &mut RasterStats,
+        sample: S,
+        apply: F,
+    ) {
+        for (t, b) in self.top.windows(2).zip(self.bottom.windows(2)) {
+            let (v00, v10, v01, v11) = (t[0], t[1], b[0], b[1]);
+            let tri_a = TriSetup::new(target, v00, v10, v11, stats);
+            let tri_b = TriSetup::new(target, v00, v11, v01, stats);
+            if let (Some(a), Some(b)) = (&tri_a, &tri_b) {
+                if let Some(cell) = FusedCell::fuse(a, b) {
+                    stats.fragments += walk_cell(target, &cell, &sample, &apply);
+                    continue;
+                }
+            }
+            for setup in [tri_a, tri_b].iter().flatten() {
+                let (shading, intensity, blend) = (self.shading, self.intensity, self.blend);
+                rasterize_setup(target, shading, setup, intensity, blend, stats);
+            }
+        }
+    }
+}
+
+/// The mesh cell walker: scans a fused cell's union box once. At each pixel
+/// one evaluation of the shared diagonal picks the only triangle that can
+/// cover it — canonical edge evaluation makes the diagonal's predicate
+/// exactly complementary between A and B — and the pixel is then tested
+/// against that triangle's own predicates and shaded with its own uv planes.
+/// The tests repeat the picked triangle's diagonal predicate (a NaN edge
+/// value satisfies neither) and check its own bounding box, the only pixels
+/// the per-triangle path visits for it. Coverage, sample values and the
+/// single blend per pixel are therefore exactly those of rasterizing A then
+/// B. Returns the fragment count.
+#[inline(always)]
+fn walk_cell<S: Fn(f32, f32) -> f32, F: Fn(f32, f32) -> f32>(
+    target: &mut Texture,
+    cell: &FusedCell,
+    sample: &S,
+    apply: &F,
+) -> u64 {
+    let width = target.width();
+    let data = target.data_mut();
+    let mut fragments = 0;
+    for py in cell.y0..=cell.y1 {
+        let rows = cell
+            .triangles
+            .map(|(setup, diagonal)| CellTriangleRow::new(setup, diagonal, py));
+        let row_start = py * width;
+        let row = &mut data[row_start + cell.x0..=row_start + cell.x1];
+        for (offset, dst) in row.iter_mut().enumerate() {
+            let px = cell.x0 + offset;
+            let e = rows[0].diagonal.value(px);
+            let tri = if rows[0].diagonal.test(e) {
+                &rows[0]
+            } else {
+                &rows[1]
+            };
+            if !(tri.diagonal.test(e)
+                && (tri.x0..=tri.x1).contains(&px)
+                && tri.others[0].covers(px)
+                && tri.others[1].covers(px))
+            {
+                continue;
+            }
+            let sample = sample(tri.u_row.at(px) as f32, tri.v_row.at(px) as f32);
+            *dst = apply(*dst, sample);
+            fragments += 1;
+        }
+    }
+    fragments
+}
+
 /// Footprint-mode counterpart of [`rasterize_triangle_uncounted`]: same
 /// setup, rejection and fragment accounting, nearest sampling of the
 /// pyramid level matching the triangle's uv footprint.
@@ -808,36 +1051,6 @@ pub(crate) fn rasterize_triangle_footprint_uncounted(
 ) {
     if let Some(setup) = TriSetup::new(target, v0, v1, v2, stats) {
         rasterize_setup_footprint(target, pyramid, &setup, intensity, blend, stats);
-    }
-}
-
-/// Footprint-mode rasterization at a caller-chosen pyramid level, for mesh
-/// walkers that select one level for a whole *row* of triangles (see
-/// [`crate::mesh::TexturedMesh::rasterize_footprint`]) instead of per
-/// primitive. Setup, rejection and fragment accounting are identical to
-/// [`rasterize_triangle_footprint_uncounted`]; only the level choice moves
-/// to the caller.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn rasterize_triangle_footprint_leveled(
-    target: &mut Texture,
-    pyramid: &FootprintPyramid,
-    level: usize,
-    v0: Vertex,
-    v1: Vertex,
-    v2: Vertex,
-    intensity: f32,
-    blend: BlendMode,
-    stats: &mut RasterStats,
-) {
-    if let Some(setup) = TriSetup::new(target, v0, v1, v2, stats) {
-        rasterize_setup_footprint_at(
-            target,
-            pyramid.level(level),
-            &setup,
-            intensity,
-            blend,
-            stats,
-        );
     }
 }
 
@@ -874,7 +1087,8 @@ pub(crate) fn rasterize_triangle_uncounted(
     stats: &mut RasterStats,
 ) {
     if let Some(setup) = TriSetup::new(target, v0, v1, v2, stats) {
-        rasterize_setup_span(target, spot_texture, &setup, intensity, blend, stats);
+        let shading = Shading::Bilinear(spot_texture);
+        rasterize_setup(target, shading, &setup, intensity, blend, stats);
     }
 }
 
@@ -1725,6 +1939,299 @@ mod tests {
             rasterize_quad(&mut fast, &spot, quad, 1.5, BlendMode::Additive, &mut fs);
             reference::rasterize_quad(&mut slow, &spot, quad, 1.5, BlendMode::Additive, &mut ss);
             assert_identical(&fast, &fs, &slow, &ss, "uniform fast path");
+        }
+    }
+
+    mod cell_walker {
+        //! Oracle tests of the mesh cell walker: production-shaped meshes
+        //! rasterized by [`TexturedMesh::rasterize`] (fused cells plus the
+        //! per-triangle fallback) must equal the naive per-triangle
+        //! reference bit for bit — texels and [`RasterStats`] — in every
+        //! blend mode at every SIMD level, and Footprint mode must cover
+        //! exactly the texels Exact mode covers.
+
+        use super::*;
+        use crate::blend::AlphaFactor;
+        use crate::mesh::TexturedMesh;
+        use std::sync::Arc;
+
+        const SIZE: usize = 96;
+
+        /// A mesh built like `spotnoise::bent::bent_spot_mesh` output: a
+        /// ribbon of `rows x cols` vertices tiled across a centre line that
+        /// is a circular arc of `curvature` (1/px) through `center`, heading
+        /// `angle` at its midpoint. As in the bent-spot transform, the
+        /// length is `2·radius·stretch` and the half-width
+        /// `radius / √stretch`; `u` runs along the ribbon and `v` across it.
+        /// Once `curvature · half_width > 1` the inner side folds back and
+        /// the cells there twist.
+        #[allow(clippy::too_many_arguments)]
+        fn ribbon(
+            rows: usize,
+            cols: usize,
+            center: Vec2,
+            radius: f64,
+            stretch: f64,
+            angle: f64,
+            curvature: f64,
+        ) -> TexturedMesh {
+            let length = 2.0 * radius * stretch;
+            let half_width = radius / stretch.sqrt();
+            let mut vertices = Vec::with_capacity(rows * cols);
+            for r in 0..rows {
+                let t = r as f64 / (rows - 1) as f64;
+                let s = (t - 0.5) * length;
+                let heading = angle + curvature * s;
+                // Arc-length parametrization of the arc (a straight line
+                // in the limit of zero curvature).
+                let along = if curvature.abs() < 1e-12 {
+                    Vec2::new(s * angle.cos(), s * angle.sin())
+                } else {
+                    Vec2::new(
+                        (heading.sin() - angle.sin()) / curvature,
+                        (angle.cos() - heading.cos()) / curvature,
+                    )
+                };
+                let normal = Vec2::new(-heading.sin(), heading.cos());
+                for c in 0..cols {
+                    let v = c as f64 / (cols - 1) as f64;
+                    let offset = (v * 2.0 - 1.0) * half_width;
+                    vertices.push(Vertex::new(
+                        center + along + normal * offset,
+                        t as f32,
+                        v as f32,
+                    ));
+                }
+            }
+            TexturedMesh::new(rows, cols, vertices)
+        }
+
+        /// Copies `mesh`, moving every vertex of row `row` onto `point`.
+        fn collapse_row(mesh: &TexturedMesh, row: usize, point: Vec2) -> TexturedMesh {
+            let mut vertices = mesh.vertices().to_vec();
+            for v in &mut vertices[row * mesh.cols()..(row + 1) * mesh.cols()] {
+                v.position = point;
+            }
+            TexturedMesh::new(mesh.rows(), mesh.cols(), vertices)
+        }
+
+        /// Copies `mesh` with row `row` repeated in place of row `row + 1`,
+        /// so that row of cells has zero area.
+        fn repeat_row(mesh: &TexturedMesh, row: usize) -> TexturedMesh {
+            let mut vertices = mesh.vertices().to_vec();
+            let cols = mesh.cols();
+            for c in 0..cols {
+                vertices[(row + 1) * cols + c].position = vertices[row * cols + c].position;
+            }
+            TexturedMesh::new(mesh.rows(), cols, vertices)
+        }
+
+        /// The mesh shapes under test, each with a label.
+        fn meshes() -> Vec<(String, TexturedMesh)> {
+            let mid = Vec2::new(SIZE as f64 / 2.0, SIZE as f64 / 2.0);
+            let mut out = Vec::new();
+            // Smog (12x7) and turbulence (8x3, 16x3) shapes, rotated through
+            // the full circle and stretched from 1 to `max_stretch` 4.
+            for (i, angle_deg) in (0..360).step_by(25).enumerate() {
+                let angle = (angle_deg as f64 + 0.37).to_radians();
+                let stretch = 1.0 + 3.0 * (i % 4) as f64 / 3.0;
+                let curvature = [0.0, 0.01, -0.02, 0.035][i % 4];
+                for (rows, cols, radius) in [(12, 7, 9.0), (8, 3, 4.0), (16, 3, 12.0)] {
+                    out.push((
+                        format!("{rows}x{cols} r={radius} angle={angle_deg} stretch={stretch}"),
+                        ribbon(rows, cols, mid, radius, stretch, angle, curvature),
+                    ));
+                }
+            }
+            // Folded ribbons: the inner side doubles back, twisting cells.
+            for (i, angle_deg) in [10.0f64, 100.0, 200.0, 290.0].into_iter().enumerate() {
+                let angle = angle_deg.to_radians();
+                let half_width = 10.0 / 2.0f64.sqrt();
+                let curvature = if i % 2 == 0 { 1.6 } else { -1.6 } / half_width;
+                out.push((
+                    format!("folded 12x7 angle={angle_deg}"),
+                    ribbon(12, 7, mid, 10.0, 2.0, angle, curvature),
+                ));
+            }
+            // Cells wider than NARROW_TRIANGLE_WIDTH: the span walker
+            // fallback.
+            out.push((
+                "wide 4x3".to_string(),
+                ribbon(4, 3, mid, 30.0, 1.5, 0.4, 0.0),
+            ));
+            out.push((
+                "wide 5x4 curved".to_string(),
+                ribbon(5, 4, mid, 28.0, 1.2, 2.2, 0.01),
+            ));
+            // Clipped at each of the four target borders.
+            let edge = SIZE as f64;
+            for (label, center) in [
+                ("left", Vec2::new(1.5, mid.y)),
+                ("right", Vec2::new(edge - 2.0, mid.y)),
+                ("top", Vec2::new(mid.x, 0.7)),
+                ("bottom", Vec2::new(mid.x, edge - 1.2)),
+            ] {
+                for angle_deg in [0.0f64, 33.0, 90.0] {
+                    out.push((
+                        format!("clipped {label} angle={angle_deg}"),
+                        ribbon(12, 7, center, 9.0, 3.0, angle_deg.to_radians(), 0.02),
+                    ));
+                }
+            }
+            // Degenerate rows: a row collapsed to a point, a repeated row,
+            // and a whole stagnant ribbon (every row on one point).
+            let base = ribbon(12, 7, mid, 9.0, 2.5, 0.8, 0.02);
+            out.push((
+                "collapsed row 0".to_string(),
+                collapse_row(&base, 0, base.vertex(0, 3).position),
+            ));
+            out.push((
+                "collapsed row 5".to_string(),
+                collapse_row(&base, 5, base.vertex(5, 0).position),
+            ));
+            out.push(("repeated row 7".to_string(), repeat_row(&base, 7)));
+            let stagnant = TexturedMesh::new(
+                12,
+                7,
+                base.vertices()
+                    .iter()
+                    .map(|v| Vertex::new(mid, v.uv.0, v.uv.1))
+                    .collect(),
+            );
+            out.push(("stagnant point".to_string(), stagnant));
+            // NaN coordinates: the triangles touching them cover nothing,
+            // whichever path their cells take.
+            let mut vertices = base.vertices().to_vec();
+            vertices[3 * 7 + 2].position.x = f64::NAN;
+            vertices[6 * 7 + 5].position = Vec2::new(f64::NAN, f64::NAN);
+            out.push((
+                "NaN vertices".to_string(),
+                TexturedMesh::new(12, 7, vertices),
+            ));
+            out
+        }
+
+        /// A spot texture with no symmetry, so shading a fragment with the
+        /// other triangle's uv planes shows.
+        fn asymmetric_spot() -> Texture {
+            Texture::from_fn(16, 16, |u, v| (u * 7.3 + v * v * 3.1).sin() * 0.5 + 0.6 * u)
+        }
+
+        fn assert_bit_identical(fast: &Texture, slow: &Texture, context: &str) {
+            let differing = fast
+                .data()
+                .iter()
+                .zip(slow.data())
+                .filter(|(a, b)| a.to_bits() != b.to_bits())
+                .count();
+            assert_eq!(differing, 0, "{differing} texels differ: {context}");
+        }
+
+        #[test]
+        fn production_shaped_meshes_match_reference_in_every_mode_and_level() {
+            let _serial = crate::simd::FORCE_LOCK
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
+            let spot = asymmetric_spot();
+            let modes = [
+                BlendMode::Additive,
+                BlendMode::Replace,
+                BlendMode::Max,
+                BlendMode::Alpha(AlphaFactor::new(0.3)),
+            ];
+            let base = Texture::from_fn(SIZE, SIZE, |u, v| (u * 5.0).cos() * (v * 3.0).sin());
+            // Restores automatic dispatch even when an assertion fails.
+            struct Unforce;
+            impl Drop for Unforce {
+                fn drop(&mut self) {
+                    simd::force(None);
+                }
+            }
+            let _unforce = Unforce;
+            let meshes = meshes();
+            for level in simd::available() {
+                simd::force(Some(level));
+                for (label, mesh) in &meshes {
+                    for (m, mode) in modes.into_iter().enumerate() {
+                        let intensity = [0.8, -0.6, 1.3, 0.45][m];
+                        let mut fast = base.clone();
+                        let mut slow = base.clone();
+                        let mut fs = RasterStats::default();
+                        let mut ss = RasterStats::default();
+                        mesh.rasterize(&mut fast, &spot, intensity, mode, &mut fs);
+                        mesh.rasterize_reference(&mut slow, &spot, intensity, mode, &mut ss);
+                        let context = format!("{label}, {mode:?}, SIMD level {}", level.name());
+                        assert_bit_identical(&fast, &slow, &context);
+                        assert_eq!(fs, ss, "stats differ: {context}");
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn footprint_cell_walk_covers_exactly_the_exact_mode_texels() {
+            let spot = asymmetric_spot();
+            let pyramid = FootprintPyramid::build(Arc::new(spot.clone()));
+            for (label, mesh) in meshes() {
+                // Replace over a NaN-filled target: a texel is covered
+                // exactly when it is no longer NaN.
+                let mut exact = Texture::new(SIZE, SIZE);
+                exact.fill(f32::NAN);
+                let mut approx = exact.clone();
+                let mut es = RasterStats::default();
+                let mut fs = RasterStats::default();
+                mesh.rasterize(&mut exact, &spot, 1.0, BlendMode::Replace, &mut es);
+                mesh.rasterize_footprint(&mut approx, &pyramid, 1.0, BlendMode::Replace, &mut fs);
+                assert_eq!(es, fs, "stats differ: {label}");
+                let covered =
+                    |t: &Texture| t.data().iter().map(|v| !v.is_nan()).collect::<Vec<_>>();
+                assert_eq!(
+                    covered(&exact),
+                    covered(&approx),
+                    "coverage differs: {label}"
+                );
+                assert!(
+                    es.fragments > 0 || label.starts_with("stagnant"),
+                    "{label} drew nothing"
+                );
+            }
+        }
+
+        #[test]
+        fn bent_cells_fuse_and_twisted_or_wide_cells_fall_back() {
+            // The oracle tests above only prove something about the fused
+            // walk if production-shaped cells actually take it: count which
+            // cells `FusedCell::fuse` accepts.
+            let target = Texture::new(SIZE, SIZE);
+            let fused_share = |mesh: &TexturedMesh| {
+                let (mut fused, mut cells) = (0, 0);
+                let mut stats = RasterStats::default();
+                for r in 0..mesh.rows() - 1 {
+                    for c in 0..mesh.cols() - 1 {
+                        let (v00, v10) = (mesh.vertex(r, c), mesh.vertex(r, c + 1));
+                        let (v01, v11) = (mesh.vertex(r + 1, c), mesh.vertex(r + 1, c + 1));
+                        let a = TriSetup::new(&target, v00, v10, v11, &mut stats);
+                        let b = TriSetup::new(&target, v00, v11, v01, &mut stats);
+                        cells += 1;
+                        if let (Some(a), Some(b)) = (a, b) {
+                            fused += usize::from(FusedCell::fuse(&a, &b).is_some());
+                        }
+                    }
+                }
+                fused as f64 / cells as f64
+            };
+            let mid = Vec2::new(SIZE as f64 / 2.0, SIZE as f64 / 2.0);
+            let smog = ribbon(12, 7, mid, 9.0, 4.0, 0.7, 0.02);
+            assert_eq!(
+                fused_share(&smog),
+                1.0,
+                "a smog-shaped ribbon should fuse every cell"
+            );
+            let half_width = 10.0 / 2.0f64.sqrt();
+            let folded = ribbon(12, 7, mid, 10.0, 2.0, 0.2, 1.6 / half_width);
+            let share = fused_share(&folded);
+            assert!(share > 0.3 && share < 1.0, "folded ribbon fused {share}");
+            assert_eq!(fused_share(&ribbon(4, 3, mid, 30.0, 1.5, 0.4, 0.0)), 0.0);
         }
     }
 }

@@ -142,6 +142,11 @@ pub fn force(level: Option<SimdLevel>) {
 const FORCE_NONE: u8 = u8::MAX;
 static FORCED: AtomicU8 = AtomicU8::new(FORCE_NONE);
 
+/// Serializes the unit tests that [`force`] a level, so no test observes a
+/// level another test forced.
+#[cfg(test)]
+pub(crate) static FORCE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 fn level_from_u8(raw: u8) -> SimdLevel {
     match raw {
         0 => SimdLevel::Scalar,
@@ -2030,6 +2035,7 @@ mod tests {
 
     #[test]
     fn force_overrides_and_restores_active() {
+        let _serial = FORCE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let resolved = active();
         for level in available() {
             force(Some(level));

@@ -18,6 +18,7 @@ use flowfield::{Rect, Vec2};
 use softpipe::machine::MachineConfig;
 use spotnoise::config::{SamplingMode, SpotKind, SynthesisConfig};
 use spotnoise::dnc::synthesize_dnc;
+use spotnoise::filter::standard_postprocess;
 use spotnoise::hash::StableHasher;
 use spotnoise::pipeline::{ExecutionMode, Pipeline};
 use spotnoise::quality::sampling_quality;
@@ -88,6 +89,61 @@ fn exact_mode_is_bit_identical_to_seed_output() {
             texture_hash(&out.texture),
             0x1d922e165ddf7bd8,
             "bent-mesh Exact synthesis drifted from the seed output at SIMD level {}",
+            level.name()
+        );
+    }
+    softpipe::simd::force(None);
+}
+
+/// The smog-shaped mesh and the display filter are pinned too: a 12x7 bent
+/// Exact synthesis with large, strongly stretched spots (several pixels per
+/// mesh cell, so the mesh walker scans multi-column cells rather than the
+/// sub-pixel cells of the 8x3 case above), and `standard_postprocess` of the
+/// 8x3 bent output above (box blur, high-pass and contrast stretch). Both
+/// hashes were recorded before the per-cell mesh walker and the row-slice
+/// box blur landed, and hold at every available SIMD level.
+#[test]
+fn smog_shaped_mesh_and_display_filter_are_bit_identical_to_recorded_output() {
+    let field = vortex();
+    let smog = SynthesisConfig {
+        spot_kind: SpotKind::Bent { rows: 12, cols: 7 },
+        spot_count: 120,
+        spot_radius: 0.07,
+        max_stretch: 4.0,
+        ..SynthesisConfig::small_test()
+    };
+    let smog_spots = generate_spots(
+        smog.spot_count,
+        domain(),
+        smog.intensity_amplitude,
+        smog.seed,
+    );
+    let bent = SynthesisConfig {
+        spot_kind: SpotKind::Bent { rows: 8, cols: 3 },
+        spot_count: 150,
+        ..SynthesisConfig::small_test()
+    };
+    let bent_spots = generate_spots(
+        bent.spot_count,
+        domain(),
+        bent.intensity_amplitude,
+        bent.seed,
+    );
+    for level in softpipe::simd::available() {
+        softpipe::simd::force(Some(level));
+        let out = synthesize_sequential(&field, &smog_spots, &smog);
+        assert_eq!(
+            texture_hash(&out.texture),
+            0xd71a5c1aaf235163,
+            "12x7 bent-mesh Exact synthesis drifted from the recorded output at SIMD level {}",
+            level.name()
+        );
+        let out = synthesize_sequential(&field, &bent_spots, &bent);
+        let display = standard_postprocess(&out.texture, bent.spot_radius_pixels());
+        assert_eq!(
+            texture_hash(&display),
+            0x5d3f91119195c797,
+            "standard_postprocess drifted from the recorded output at SIMD level {}",
             level.name()
         );
     }
