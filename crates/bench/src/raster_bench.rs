@@ -294,6 +294,27 @@ fn simd_quad_case(
     }
 }
 
+/// A flow-aligned spot quad: `radius` across the flow, `stretch × radius`
+/// along it, rotated by `angle` — so both texture coordinates vary along
+/// every scanline and the span walker takes its general 2-D bilinear fill.
+fn rotated_spot_quad(center: Vec2, radius: f64, stretch: f64, angle: f64) -> [Vertex; 4] {
+    let (sin, cos) = angle.sin_cos();
+    let corner = |x: f64, y: f64, u: f32, v: f32| {
+        let (x, y) = (x * stretch * radius, y * radius);
+        Vertex::new(
+            center + Vec2::new(x * cos - y * sin, x * sin + y * cos),
+            u,
+            v,
+        )
+    };
+    [
+        corner(-1.0, -1.0, 0.0, 0.0),
+        corner(1.0, -1.0, 1.0, 0.0),
+        corner(1.0, 1.0, 1.0, 1.0),
+        corner(-1.0, 1.0, 0.0, 1.0),
+    ]
+}
+
 /// Builds a bent-ish mesh: a rectangle mesh rotated so neither texture
 /// coordinate is row-constant, exercising the general sampling path the way
 /// stream-line-advected spots do.
@@ -364,11 +385,15 @@ fn mesh_case(name: &'static str, description: &'static str, mesh: &TexturedMesh)
     }
 }
 
-/// Measures footprint sampling against exact bilinear on a bent-style mesh:
-/// reference = the exact span walker (the production fast path), optimized =
-/// the footprint-sampled walker. Outputs are *not* pixel-identical — that is
-/// the point — so instead of the bit-parity assert the case gates on the
-/// [`spotnoise::quality`] tolerances before timing.
+/// Measures footprint sampling on a bent-style mesh: reference = the naive
+/// per-pixel Exact path (`TexturedMesh::rasterize_reference`, which samples
+/// through `Texture::sample_bilinear`), optimized = the footprint-sampled
+/// production walker. The reference is the fixed naive path rather than the
+/// production Exact walker, so a faster Exact path does not read as a
+/// Footprint regression. Outputs are *not* pixel-identical — that is the
+/// point — so instead of the bit-parity assert the case gates on production
+/// Exact vs Footprint coverage equality and the [`spotnoise::quality`]
+/// tolerances before timing.
 fn bent_mesh_footprint_case(
     name: &'static str,
     description: &'static str,
@@ -410,7 +435,7 @@ fn bent_mesh_footprint_case(
     let probe = {
         let mut stats = RasterStats::default();
         let start = Instant::now();
-        mesh.rasterize(&mut target, &spot, 0.5, BlendMode::Additive, &mut stats);
+        mesh.rasterize_reference(&mut target, &spot, 0.5, BlendMode::Additive, &mut stats);
         start.elapsed().as_nanos() as f64
     };
     let batch = batch_for(10.0e6, probe);
@@ -420,7 +445,7 @@ fn bent_mesh_footprint_case(
         batch,
         || {
             let mut stats = RasterStats::default();
-            mesh.rasterize(&mut targets.0, &spot, 0.5, BlendMode::Additive, &mut stats);
+            mesh.rasterize_reference(&mut targets.0, &spot, 0.5, BlendMode::Additive, &mut stats);
         },
         || {
             let mut stats = RasterStats::default();
@@ -952,7 +977,7 @@ pub fn run_raster_bench_filtered(filter: Option<&str>) -> RasterBenchReport {
                 // sampling-bound path the footprint sampler targets.
                 bent_mesh_footprint_case(
                     "bent_mesh_16x3_r12_footprint",
-                    "bent 16x3 mesh, r=12 (narrow triangles): Footprint sampling vs Exact bilinear",
+                    "bent 16x3 mesh, r=12 (narrow triangles): Footprint sampling vs the naive Exact reference",
                     &rotated_mesh(16, 3, Vec2::new(256.0, 256.0), 72.0, 14.0, 0.52),
                     16,
                 )
@@ -965,7 +990,7 @@ pub fn run_raster_bench_filtered(filter: Option<&str>) -> RasterBenchReport {
                 // fill (lane-blocked nearest) instead of the narrow loop.
                 bent_mesh_footprint_case(
                     "bent_mesh_16x3_r48_footprint",
-                    "bent 16x3 mesh, r=48 (wide cells): Footprint sampling vs Exact bilinear",
+                    "bent 16x3 mesh, r=48 (wide cells): Footprint sampling vs the naive Exact reference",
                     &rotated_mesh(16, 3, Vec2::new(256.0, 256.0), 288.0, 55.0, 0.52),
                     32,
                 )
@@ -979,6 +1004,19 @@ pub fn run_raster_bench_filtered(filter: Option<&str>) -> RasterBenchReport {
                     "disc-spot quad r=12: explicit SIMD kernels vs forced-scalar fallback",
                     &disc,
                     axis_aligned_spot_quad(Vec2::new(256.0, 256.0), 12.0),
+                    0.5,
+                )
+            }),
+        ),
+        (
+            "simd_quad_rotated_disc_r12",
+            Box::new(|| {
+                simd_quad_case(
+                    "simd_quad_rotated_disc_r12",
+                    "disc-spot quad r=12 stretched 3x and rotated 30 degrees (2-D bilinear \
+                     span fill): explicit SIMD kernels vs forced-scalar fallback",
+                    &disc,
+                    rotated_spot_quad(Vec2::new(256.0, 256.0), 12.0, 3.0, 0.52),
                     0.5,
                 )
             }),

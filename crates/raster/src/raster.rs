@@ -14,12 +14,21 @@
 //! pixel interval per edge (the predicate is monotone along a row, so a
 //! short binary search with the shared edge evaluator finds the boundary)
 //! and the interior pixels are filled through a mutable row slice with
-//! **zero** inside-tests. When the interpolated `v` coordinate is constant
-//! along the row — true for every axis-aligned spot quad — the bilinear
-//! sample collapses to a single pre-fetched texture row pair, and when that
-//! row pair is uniform the sample is a per-row constant (the nearest-sample
-//! fast path: flat spot textures reduce to a vectorizable `dst += const`
-//! loop).
+//! **zero** inside-tests. Every span fill is an explicit SIMD kernel
+//! (`crate::simd`): when the interpolated `v` coordinate is constant along
+//! the row — true for every axis-aligned spot quad — the bilinear sample
+//! collapses to a single pre-fetched texture row pair (`fill_hoisted`), and
+//! when that row pair is uniform the sample is a per-row constant (the
+//! nearest-sample fast path: flat spot textures reduce to a `dst += const`
+//! sweep, `blend_uniform`). Otherwise — rotated quads, flow-aligned spots —
+//! both coordinates vary along the row and each pixel takes four 2-D taps
+//! (`fill_bilinear_2d`, hardware-gathered on AVX2). Footprint mode has the
+//! nearest-fetch twins (`fill_nearest_row`, `fill_nearest_2d`).
+//!
+//! Per-fragment Exact sampling outside the span fills (the narrow and cell
+//! walkers, the 2-D kernel's scalar level and tails) goes through one scalar
+//! sampler, `bilinear_sample`, bit-identical to `Texture::sample_bilinear`,
+//! which stays the oracle.
 //!
 //! Bounding boxes narrower than `NARROW_TRIANGLE_WIDTH` skip the span search
 //! and test the coverage predicate per pixel instead (`walk_narrow`): for a
@@ -76,14 +85,6 @@ use crate::simd::{self, SimdLevel};
 use crate::texture::{FootprintPyramid, Texture};
 use flowfield::Vec2;
 use serde::{Deserialize, Serialize};
-
-/// Fragments per lane block of the vectorized span fills. The fills compute
-/// `LANES` samples into a stack array and blend the block in one
-/// mode-specialized call ([`BlendMode::apply_block`]), so the compiler sees
-/// fixed-width, branch-free inner loops it can autovectorize; a scalar tail
-/// handles the remainder. Per-fragment arithmetic is unchanged, so outputs
-/// stay bit-identical to the per-pixel path.
-const LANES: usize = 8;
 
 /// A vertex as submitted to the graphics pipe: a position in *texture pixel
 /// coordinates* and a texture coordinate into the bound spot texture.
@@ -438,11 +439,10 @@ fn row_is_uniform(row: &[f32]) -> bool {
 ///
 /// `row` is the mutable slice of the *span* (index 0 corresponds to column
 /// `lo`), so the destination side needs no per-pixel bounds checks after the
-/// one slice construction. The hoisted-bilinear and uniform paths run on the
-/// explicit SIMD kernels for `level` (see [`crate::simd`]); the general
-/// bilinear path keeps scalar sampling but blends through the
-/// level-dispatched block kernel. Produces values bit-identical to calling
-/// `spot.sample_bilinear` + `blend.apply` per pixel at every level.
+/// one slice construction. Every path runs on the explicit SIMD kernels for
+/// `level` (see [`crate::simd`]): the uniform sweep, the hoisted-bilinear
+/// fill, and the general 2-D bilinear fill. Produces values bit-identical to
+/// calling `spot.sample_bilinear` + `blend.apply` per pixel at every level.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn fill_span_with(
@@ -462,6 +462,8 @@ fn fill_span_with(
         // mesh cells): hoist the entire vertical half of the bilinear sample
         // out of the pixel loop. With ddx == ±0.0 the per-pixel formula
         // reduces exactly to `row_base`, so this matches the general path.
+        // Keeps `floor`, as the scalar hoisted fill does (`simd::hoisted_at`
+        // says why).
         let v = v_row.row_base as f32;
         let fy = (v * tex_h as f32 - 0.5).clamp(0.0, tex_h as f32 - 1.0);
         let ty0 = fy.floor() as usize;
@@ -483,44 +485,20 @@ fn fill_span_with(
             level, row, lo, u_row, tex_row0, tex_row1, ty, intensity, blend,
         );
     } else {
-        // General path: both texture coordinates vary along the row. The
-        // bilinear sampling stays scalar (its data-dependent row-pair fetches
-        // don't lane-block well), but the blend runs on the dispatched block
-        // kernel.
-        let sample_at = |px: usize| -> f32 {
-            let u = u_row.at(px) as f32;
-            let v = v_row.at(px) as f32;
-            spot.sample_bilinear(u, v) * intensity
-        };
-        fill_lane_blocked(row, lo, level, blend, sample_at);
-    }
-}
-
-/// The shared lane-block driver of the span fills: computes [`LANES`]
-/// samples at a time with `sample_at` (whose per-lane evaluations are
-/// independent, so they vectorize) and blends each block through the
-/// level-dispatched kernel; the tail runs scalar with identical arithmetic.
-#[inline(always)]
-pub(crate) fn fill_lane_blocked(
-    row: &mut [f32],
-    lo: usize,
-    level: SimdLevel,
-    blend: BlendMode,
-    sample_at: impl Fn(usize) -> f32,
-) {
-    let mut samples = [0.0f32; LANES];
-    let split = row.len() - row.len() % LANES;
-    let (blocks, tail) = row.split_at_mut(split);
-    let mut px = lo;
-    for chunk in blocks.chunks_exact_mut(LANES) {
-        for (lane, out) in samples.iter_mut().enumerate() {
-            *out = sample_at(px + lane);
-        }
-        simd::blend_block(level, blend, chunk, &samples);
-        px += LANES;
-    }
-    for (offset, dst) in tail.iter_mut().enumerate() {
-        *dst = blend.apply(*dst, sample_at(px + offset));
+        // General path: both texture coordinates vary along the row, each
+        // pixel takes four 2-D taps.
+        simd::fill_bilinear_2d(
+            level,
+            row,
+            lo,
+            u_row,
+            v_row,
+            spot.data(),
+            tex_w,
+            tex_h,
+            intensity,
+            blend,
+        );
     }
 }
 
@@ -539,7 +517,8 @@ pub(crate) enum Shading<'a> {
 /// `intensity`.
 #[inline(always)]
 fn bilinear_sampler(spot: &Texture, intensity: f32) -> impl Fn(f32, f32) -> f32 + '_ {
-    move |u, v| spot.sample_bilinear(u, v) * intensity
+    let (tw, th, texels) = (spot.width(), spot.height(), spot.data());
+    move |u, v| bilinear_sample(texels, tw, th, u, v) * intensity
 }
 
 /// The per-fragment sample of [`Shading::Nearest`] at `(u, v)`, scaled by
@@ -766,6 +745,35 @@ pub(crate) fn triangle_footprint_step(
     let step_u = u_ddx.abs().max(u_ddy.abs()) * base_w;
     let step_v = v_ddx.abs().max(v_ddy.abs()) * base_h;
     Some(step_u.max(step_v) as f32)
+}
+
+/// One axis of the bilinear kernel at texture coordinate `coord` on a
+/// `len`-texel axis: the lower tap, the upper tap and the lerp weight, with
+/// [`Texture::sample_bilinear`]'s arithmetic. The clamped coordinate lies in
+/// `[0, len − 1]` or is NaN; truncation equals `floor` there, and NaN casts
+/// to 0 as `NaN.floor()` does, so the index is a plain cast rather than a
+/// libm `floorf` call (baseline x86-64 has no rounding instruction).
+#[inline(always)]
+pub(crate) fn bilinear_axis(coord: f32, len: usize) -> (usize, usize, f32) {
+    let f = (coord * len as f32 - 0.5).clamp(0.0, len as f32 - 1.0);
+    let i0 = f as usize;
+    (i0, (i0 + 1).min(len - 1), f - i0 as f32)
+}
+
+/// Bilinear sample at `(u, v)` of the `tw`×`th` texture `texels`:
+/// bit-identical to [`Texture::sample_bilinear`] (the oracle) for every
+/// input, NaN included. The Exact-mode sampler of the narrow and cell
+/// walkers, and the scalar level and tails of `simd::fill_bilinear_2d`.
+#[inline(always)]
+pub(crate) fn bilinear_sample(texels: &[f32], tw: usize, th: usize, u: f32, v: f32) -> f32 {
+    let (x0, x1, tx) = bilinear_axis(u, tw);
+    let (y0, y1, ty) = bilinear_axis(v, th);
+    let (row0, row1) = (y0 * tw, y1 * tw);
+    let (a, b) = (texels[row0 + x0], texels[row0 + x1]);
+    let (c, d) = (texels[row1 + x0], texels[row1 + x1]);
+    let bottom = a + (b - a) * tx;
+    let top = c + (d - c) * tx;
+    bottom + (top - bottom) * ty
 }
 
 /// Nearest-sample index of `coord` in a `len`-texel axis, matching
@@ -1476,6 +1484,52 @@ mod tests {
         );
         assert!((target.texel(16, 16) - 0.5).abs() < 1e-6);
         assert!((target.texel(2, 2) - 1.0).abs() < 1e-6);
+    }
+
+    /// The scalar bilinear sampler (a cast instead of `floor`) equals the
+    /// oracle `Texture::sample_bilinear` bit for bit on a dense sweep: 64
+    /// ulps either side of every texel edge and centre on each axis, ±inf,
+    /// NaN and far-out coordinates, on 1-texel, odd and power-of-two axes.
+    #[test]
+    fn scalar_bilinear_sampler_matches_oracle_near_every_texel_boundary() {
+        fn sweep(len: usize) -> Vec<f32> {
+            let mut coords = vec![f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -1e30, 1e30];
+            for k in 0..=2 * len {
+                // Texel edges (even k) and centres (odd k), then ulp steps.
+                let base = (k as f32 * 0.5) / len as f32;
+                let (mut up, mut down) = (base, base);
+                coords.push(base);
+                for _ in 0..64 {
+                    up = up.next_up();
+                    down = down.next_down();
+                    coords.extend([up, down]);
+                }
+            }
+            coords
+        }
+        for (tw, th) in [(1, 1), (1, 4), (5, 1), (3, 7), (16, 16), (17, 2)] {
+            let mut tex = Texture::new(tw, th);
+            for (i, t) in tex.data_mut().iter_mut().enumerate() {
+                *t = ((i * 37 % 11) as f32 - 5.0) * 0.3;
+            }
+            let (us, vs) = (sweep(tw), sweep(th));
+            let pairs = us
+                .iter()
+                .flat_map(|&u| [0.1f32, 0.5, 0.93].map(|v| (u, v)))
+                .chain(
+                    vs.iter()
+                        .flat_map(|&v| [0.07f32, 0.5, 0.88].map(|u| (u, v))),
+                );
+            for (u, v) in pairs {
+                let got = bilinear_sample(tex.data(), tw, th, u, v);
+                let want = tex.sample_bilinear(u, v);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{tw}x{th} at ({u:e}, {v:e}): got {got}, want {want}"
+                );
+            }
+        }
     }
 
     #[test]

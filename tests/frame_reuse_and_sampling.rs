@@ -150,6 +150,36 @@ fn smog_shaped_mesh_and_display_filter_are_bit_identical_to_recorded_output() {
     softpipe::simd::force(None);
 }
 
+/// A viewer-shaped divide-and-conquer frame is pinned too: 256² with 400
+/// flow-aligned disc spots on a 2×2 machine, the session shape the service
+/// renders. At this size nearly every disc quad is wide enough for the span
+/// walker, whose rows vary in both texture coordinates, so this pins the
+/// 2-D bilinear span fill (the 128² disc case above mostly takes the narrow
+/// walker). Recorded before that fill got its SIMD kernels; holds at every
+/// available SIMD level.
+#[test]
+fn viewer_shaped_dnc_frame_is_bit_identical_to_recorded_output() {
+    let field = vortex();
+    let cfg = SynthesisConfig {
+        texture_size: 256,
+        spot_count: 400,
+        ..SynthesisConfig::small_test()
+    };
+    let spots = generate_spots(cfg.spot_count, domain(), cfg.intensity_amplitude, cfg.seed);
+    let machine = MachineConfig::new(2, 2);
+    for level in softpipe::simd::available() {
+        softpipe::simd::force(Some(level));
+        let out = synthesize_dnc(&field, &spots, &cfg, &machine);
+        assert_eq!(
+            texture_hash(&out.texture),
+            0x3a5707ee6d0bcaa2,
+            "viewer-shaped DnC frame drifted from the recorded output at SIMD level {}",
+            level.name()
+        );
+    }
+    softpipe::simd::force(None);
+}
+
 /// Two consecutive frames from one pooled pipeline are bit-identical to the
 /// same frames from a fresh-allocation pipeline — buffer reuse must be
 /// completely invisible in the output.
