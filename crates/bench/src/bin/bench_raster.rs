@@ -6,7 +6,7 @@
 //! ```text
 //! cargo run --release -p spotnoise-bench --bin bench_raster -- \
 //!     [--out BENCH_raster.json] [--check] [--filter <substring>] \
-//!     [--ratchet <committed BENCH_raster.json>] [--threads 1,2,4]
+//!     [--ratchet <committed BENCH_raster.json>]
 //! ```
 //!
 //! `--check` re-reads the written artifact, parses it and asserts the
@@ -35,13 +35,6 @@
 //! banked under `avx2` are meaningless floors for a `SPOTNOISE_SIMD=off`
 //! run (and vice versa — a scalar bank would let an AVX2 regression hide).
 //! A committed artifact predating the `simd` field must be regenerated.
-//!
-//! `--threads 1,2,4` switches to sweep mode: the whole case list runs once
-//! per listed worker count and the artifact becomes one
-//! `bench_raster_sweep/v1` document with a `runs` array (one
-//! `bench_raster/v1` section per count). Sweep artifacts are measurement
-//! data, not regression banks, so `--threads` excludes `--ratchet`;
-//! `--check` still validates every section.
 
 use spotnoise_bench::json::Json;
 use std::path::PathBuf;
@@ -61,8 +54,8 @@ const RATCHET_FLOOR: f64 = 0.9;
 /// the gate on genuine pessimization instead of environment drift.
 const RATCHET_SLACK: f64 = 0.15;
 
-/// One parsed `bench_raster/v1` document (or sweep section): the dispatch
-/// metadata plus `(name, speedup)` pairs.
+/// One parsed `bench_raster/v1` document: the dispatch metadata plus
+/// `(name, speedup)` pairs.
 struct ParsedRun {
     /// Recorded SIMD dispatch level; `None` for artifacts written before
     /// the field existed.
@@ -71,8 +64,11 @@ struct ParsedRun {
     cases: Vec<(String, f64)>,
 }
 
-/// Validates one `bench_raster/v1` envelope and extracts its run.
-fn parse_run(doc: &Json) -> Result<ParsedRun, String> {
+/// Reads a `bench_raster/v1` artifact from disk, validates its envelope
+/// and extracts its run.
+fn parse_artifact(path: &PathBuf) -> Result<ParsedRun, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path:?}: {e}"))?;
+    let doc = Json::parse(&text)?;
     let schema = doc
         .get("schema")
         .and_then(Json::as_str)
@@ -107,14 +103,10 @@ fn parse_run(doc: &Json) -> Result<ParsedRun, String> {
     Ok(ParsedRun { simd, cases: out })
 }
 
-/// Parses a single-run artifact from disk.
-fn parse_artifact(path: &PathBuf) -> Result<ParsedRun, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path:?}: {e}"))?;
-    parse_run(&Json::parse(&text)?)
-}
-
-/// Validates one run's cases: non-empty, every speedup positive.
-fn check_run(run: &ParsedRun) -> Result<usize, String> {
+/// Validates the written artifact: it must parse, carry the expected
+/// schema, and every case must report a positive speedup.
+fn check_artifact(path: &PathBuf) -> Result<usize, String> {
+    let run = parse_artifact(path)?;
     if run.cases.is_empty() {
         return Err("no benchmark cases recorded".to_string());
     }
@@ -124,43 +116,6 @@ fn check_run(run: &ParsedRun) -> Result<usize, String> {
         }
     }
     Ok(run.cases.len())
-}
-
-/// Validates the written single-run artifact: it must parse, carry the
-/// expected schema, and every case must report a positive speedup.
-fn check_artifact(path: &PathBuf) -> Result<usize, String> {
-    check_run(&parse_artifact(path)?)
-}
-
-/// Validates a written `bench_raster_sweep/v1` artifact: the envelope, the
-/// expected number of runs, and every section's cases. Returns the total
-/// case count across all runs.
-fn check_sweep_artifact(path: &PathBuf, expected_runs: usize) -> Result<usize, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path:?}: {e}"))?;
-    let doc = Json::parse(&text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing schema field")?;
-    if schema != "bench_raster_sweep/v1" {
-        return Err(format!("unexpected schema {schema:?}"));
-    }
-    let runs = doc
-        .get("runs")
-        .and_then(Json::as_array)
-        .ok_or("missing runs array")?;
-    if runs.len() != expected_runs {
-        return Err(format!(
-            "expected {expected_runs} sweep runs, artifact has {}",
-            runs.len()
-        ));
-    }
-    let mut total = 0;
-    for (i, run) in runs.iter().enumerate() {
-        total += check_run(&parse_run(run).map_err(|e| format!("run {i}: {e}"))?)
-            .map_err(|e| format!("run {i}: {e}"))?;
-    }
-    Ok(total)
 }
 
 /// The regression ratchet: every freshly measured case that also exists in
@@ -242,7 +197,6 @@ fn main() -> ExitCode {
     let mut filter: Option<String> = None;
     let mut ratchet: Option<PathBuf> = None;
     let mut allow_new = false;
-    let mut threads: Option<Vec<usize>> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -267,19 +221,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--threads" => match args.next().map(|list| {
-                list.split(',')
-                    .map(|n| n.trim().parse::<usize>())
-                    .collect::<Result<Vec<usize>, _>>()
-            }) {
-                Some(Ok(counts)) if !counts.is_empty() && counts.iter().all(|&n| n >= 1) => {
-                    threads = Some(counts);
-                }
-                _ => {
-                    eprintln!("--threads needs a comma-separated list of counts >= 1, e.g. 1,2,4");
-                    return ExitCode::FAILURE;
-                }
-            },
             other => eprintln!("unknown argument: {other}"),
         }
     }
@@ -289,56 +230,12 @@ fn main() -> ExitCode {
         eprintln!("--ratchet requires --check (the ratchet runs as part of the check phase)");
         return ExitCode::FAILURE;
     }
-    // A sweep artifact is measurement data across worker counts, not a
-    // regression bank — there is no single speedup per case to ratchet.
-    if threads.is_some() && ratchet.is_some() {
-        eprintln!("--threads sweeps cannot be ratcheted; run them without --ratchet");
-        return ExitCode::FAILURE;
-    }
     // Fail on an unwritable destination before spending minutes measuring.
     if let Some(parent) = out.parent().filter(|p| !p.as_os_str().is_empty()) {
         std::fs::create_dir_all(parent).expect("cannot create output directory");
     }
     if let Some(f) = &filter {
         println!("measuring only cases containing {f:?}");
-    }
-    if let Some(counts) = &threads {
-        // Sweep mode: the whole case list once per worker count, one report
-        // section each. The override is cleared afterwards even though the
-        // process is about to exit — the invariant is cheap to keep.
-        let mut reports = Vec::with_capacity(counts.len());
-        for &n in counts {
-            rayon::set_current_num_threads(n);
-            println!("--- sweep: {n} worker thread(s) ---");
-            let report =
-                spotnoise_bench::raster_bench::run_raster_bench_filtered(filter.as_deref());
-            if report.cases.is_empty() {
-                rayon::set_current_num_threads(0);
-                eprintln!("filter matched no benchmark case");
-                return ExitCode::FAILURE;
-            }
-            println!("{}", spotnoise_bench::raster_bench::format_report(&report));
-            reports.push(report);
-        }
-        rayon::set_current_num_threads(0);
-        std::fs::write(&out, spotnoise_bench::raster_bench::sweep_to_json(&reports))
-            .expect("write sweep artifact");
-        println!("wrote {}", out.display());
-        if check {
-            match check_sweep_artifact(&out, reports.len()) {
-                Ok(cases) => {
-                    println!(
-                        "check OK: {} runs, {cases} cases total, schema valid, every speedup > 0",
-                        reports.len()
-                    );
-                }
-                Err(e) => {
-                    eprintln!("check FAILED: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        return ExitCode::SUCCESS;
     }
     let report = spotnoise_bench::raster_bench::run_raster_bench_filtered(filter.as_deref());
     if report.cases.is_empty() {

@@ -24,9 +24,9 @@
 //! > 0 before any request was refused. A failed check exits non-zero.
 //!
 //! `--threads 1,2,4` switches to sweep mode: the whole phase list runs once
-//! per worker count — the rayon shim override and the server's synthesis
-//! worker pool both pinned to the count — and the runs are written as one
-//! `bench_service_sweep/v1` artifact.
+//! per worker count — the server's synthesis worker pool pinned to the
+//! count — and the runs are written as one `bench_service_sweep/v1`
+//! artifact.
 //!
 //! `--cluster` switches to the cluster-tier bench instead: two peer-linked
 //! worker processes behind a router, measuring the routed-vs-direct hot
@@ -412,14 +412,10 @@ fn main() -> ExitCode {
         service_bench::ServiceBenchOptions::standard()
     };
     if let Some(counts) = &threads {
-        // Sweep mode: every phase once per worker count. Both sides of the
-        // server scale together — the rayon shim override pins the synthesis
-        // kernels' parallelism, the `workers` knob pins the service's worker
-        // pool. The override is cleared afterwards even though the process
-        // is about to exit — the invariant is cheap to keep.
+        // Sweep mode: every phase once per worker count, with the `workers`
+        // knob pinning the service's worker pool.
         let mut reports = Vec::with_capacity(counts.len());
         for &n in counts {
-            rayon::set_current_num_threads(n);
             println!("--- sweep: {n} worker thread(s) ---");
             let report = service_bench::run_service_bench(service_bench::ServiceBenchOptions {
                 workers: n,
@@ -428,7 +424,6 @@ fn main() -> ExitCode {
             println!("{}", service_bench::format_report(&report));
             reports.push(report);
         }
-        rayon::set_current_num_threads(0);
         std::fs::write(&out, service_bench::sweep_to_json(&reports)).expect("write sweep artifact");
         println!("wrote {}", out.display());
         if check {

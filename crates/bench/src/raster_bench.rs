@@ -58,7 +58,8 @@ impl BenchCase {
 /// The full report.
 #[derive(Debug, Clone)]
 pub struct RasterBenchReport {
-    /// Worker threads available to the parallel gather.
+    /// The host's hardware thread count
+    /// (`std::thread::available_parallelism`).
     pub threads: usize,
     /// SIMD dispatch level the run's kernels executed at
     /// ([`softpipe::simd::active`]), recorded so banked numbers are only
@@ -789,7 +790,7 @@ fn gather_case() -> BenchCase {
     assert_eq!(
         fast.texture.absolute_difference(&sequential(&partials)),
         0.0,
-        "parallel gather diverged from sequential"
+        "fused gather diverged from sequential"
     );
     let texels = (partials.len() - 1) as u64 * 512 * 512;
     let (reference_ns, optimized) = time_pair_best(
@@ -804,7 +805,7 @@ fn gather_case() -> BenchCase {
     );
     BenchCase {
         name: "gather_additive_512x4",
-        description: "blend 4 full 512x512 partials (sequential c term, parallel host impl)",
+        description: "blend 4 full 512x512 partials (sequential c term, fused host impl)",
         fragments_per_op: texels,
         reference_ns_per_op: reference_ns,
         optimized_ns_per_op: optimized,
@@ -1087,9 +1088,7 @@ pub fn run_raster_bench_filtered(filter: Option<&str>) -> RasterBenchReport {
         cases.extend(spot_batch_cases().into_iter().filter(|c| matches(c.name)));
     }
     RasterBenchReport {
-        // The shim honours `rayon::set_current_num_threads`, so thread
-        // sweeps record the count they actually ran with.
-        threads: rayon::current_num_threads(),
+        threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         simd: softpipe::simd::active().name().to_string(),
         simd_override: softpipe::simd::env_override().map(str::to_string),
         cases,
@@ -1120,12 +1119,11 @@ pub fn format_report(report: &RasterBenchReport) -> String {
     out
 }
 
-/// Builds the JSON value for one report: the shared body of the single-run
-/// `bench_raster/v1` artifact and each entry of the `--threads` sweep's
-/// `runs` array. `simd_override` is emitted only when the process was
-/// actually started with `SPOTNOISE_SIMD`, so unforced artifacts stay
-/// byte-stable against earlier schema revisions plus the two new keys.
-fn report_json_value(report: &RasterBenchReport) -> Json {
+/// Serializes the report in the `BENCH_raster.json` schema.
+/// `simd_override` is emitted only when the process was actually started
+/// with `SPOTNOISE_SIMD`, so unforced artifacts stay byte-stable against
+/// earlier schema revisions plus the two new keys.
+pub fn report_to_json(report: &RasterBenchReport) -> String {
     let mut pairs: Vec<(&'static str, Json)> = vec![
         ("schema", Json::str("bench_raster/v1")),
         ("threads", Json::num(report.threads as f64)),
@@ -1151,24 +1149,7 @@ fn report_json_value(report: &RasterBenchReport) -> Json {
             ])
         })),
     ));
-    Json::object(pairs)
-}
-
-/// Serializes the report in the `BENCH_raster.json` schema.
-pub fn report_to_json(report: &RasterBenchReport) -> String {
-    report_json_value(report).to_string_pretty()
-}
-
-/// Serializes a `--threads` sweep: one `bench_raster/v1` report per swept
-/// worker count, wrapped in a `bench_raster_sweep/v1` envelope so the sweep
-/// artifact can never be mistaken for (or ratcheted against) a single-run
-/// bank.
-pub fn sweep_to_json(reports: &[RasterBenchReport]) -> String {
-    Json::object([
-        ("schema", Json::str("bench_raster_sweep/v1")),
-        ("runs", Json::array(reports.iter().map(report_json_value))),
-    ])
-    .to_string_pretty()
+    Json::object(pairs).to_string_pretty()
 }
 
 #[cfg(test)]
@@ -1235,16 +1216,5 @@ mod tests {
         let json = report_to_json(&report);
         assert!(json.contains("\"simd\": \"scalar\""));
         assert!(json.contains("\"simd_override\": \"off\""));
-    }
-
-    #[test]
-    fn sweep_json_wraps_one_report_per_run() {
-        let mut second = sample_report();
-        second.threads = 2;
-        let json = sweep_to_json(&[sample_report(), second]);
-        assert!(json.contains("\"schema\": \"bench_raster_sweep/v1\""));
-        assert!(json.contains("\"schema\": \"bench_raster/v1\""));
-        assert!(json.contains("\"threads\": 4"));
-        assert!(json.contains("\"threads\": 2"));
     }
 }

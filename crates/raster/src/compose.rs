@@ -23,51 +23,27 @@
 //!
 //! When several consecutive slots are ready at once — an arrival that
 //! unlocks a parked run, or the all-at-once [`gather_additive`] wrapper —
-//! the whole run is folded in **one destination pass**: each destination
-//! chunk is loaded once and every ready partial is accumulated into it while
-//! it is cache-hot, instead of streaming the full-size destination through
-//! memory once per partial. Per-texel accumulation order is unchanged
-//! (sources are applied in slot order within the chunk), so the fused fold
-//! stays bit-identical to the one-at-a-time fold; a straggler still folds
-//! alone the moment it arrives, preserving the overlap.
+//! the whole run is folded in **one destination pass**: every ready partial
+//! is accumulated by one fused kernel that reads each source once and writes
+//! the destination once, instead of streaming the full-size destination
+//! through memory once per partial. Per-texel accumulation order is
+//! unchanged (sources are applied in slot order), so the fused fold stays
+//! bit-identical to the one-at-a-time fold; a straggler still folds alone
+//! the moment it arrives, preserving the overlap.
 //!
-//! Although the `c` term stays *sequential in the performance model* (the
-//! simulated Onyx2 charges it at full blend cost, exactly as eq. 3.2
-//! prescribes), the host implementation parallelizes the texel work over row
-//! chunks with rayon: every output row is owned by exactly one task, and the
-//! per-texel accumulation order over the partials is unchanged, so the
-//! result is bit-identical to the sequential loop. Small textures collapse
-//! to a single chunk, which the rayon shim runs inline on the calling
-//! thread — there is no separate sequential code path.
+//! The `c` term is sequential in the performance model (the simulated Onyx2
+//! charges it at full blend cost, exactly as eq. 3.2 prescribes) and on the
+//! host as well: the fold and the tile blit run on the calling thread. At
+//! the texture sizes the pipeline renders, a single SIMD pass is cheaper
+//! than handing the texel work to other threads.
 
 use crate::arena::FrameArena;
 use crate::texture::Texture;
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-/// Rows per parallel task when composing textures.
-const COMPOSE_ROW_CHUNK: usize = 32;
-
-/// Below this texel count the whole texture becomes one chunk (processed on
-/// the calling thread); spawning workers costs more than the memory traffic
-/// saves.
-const PARALLEL_COMPOSE_MIN_TEXELS: usize = 64 * 1024;
-
-/// Chunk length (in texels) used when splitting compose work over threads.
-/// A sub-threshold texture yields a single chunk, which runs inline.
-fn compose_chunk_len(width: usize, height: usize) -> usize {
-    let texels = width * height;
-    if texels < PARALLEL_COMPOSE_MIN_TEXELS {
-        texels.max(1)
-    } else {
-        width * COMPOSE_ROW_CHUNK
-    }
-}
 
 /// A pixel-space tile: the half-open region `[x0, x1) x [y0, y1)` of the
 /// final texture owned by one process group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PixelTile {
     /// Left edge (inclusive).
     pub x0: usize,
@@ -385,35 +361,19 @@ impl<'a> StreamingGather<'a> {
     }
 
     /// Folds `sources` into slots `next .. next + sources.len()` in a single
-    /// destination traversal: every chunk of the destination is loaded once
-    /// and all sources accumulate into it (in slot order) while it is
-    /// cache-hot. Per-texel arithmetic and order match the classic
-    /// `p0.clone(); acc += p1; acc += p2; ...` fold exactly, so the result
-    /// is bit-identical to folding one partial at a time — the fusion saves
-    /// memory traffic, not operations. Parallelized over chunks like the
-    /// rest of the compose path; chunk boundaries never change per-texel
-    /// arithmetic.
+    /// destination traversal: all sources accumulate into each texel (in
+    /// slot order) while it is in registers. Per-texel arithmetic and order
+    /// match the classic `p0.clone(); acc += p1; acc += p2; ...` fold
+    /// exactly, so the result is bit-identical to folding one partial at a
+    /// time — the fusion saves memory traffic, not operations.
     fn fold_additive_run(&mut self, sources: &[&Texture]) {
         if sources.is_empty() {
             return;
         }
         let first_is_copy = self.next == 0;
         let len = self.texture.data().len() as u64;
-        let chunk_len = compose_chunk_len(self.texture.width(), self.texture.height());
         let level = crate::simd::active();
-        self.texture
-            .data_mut()
-            .par_chunks_mut(chunk_len)
-            .enumerate()
-            .for_each(|(chunk_index, chunk)| {
-                fold_chunk(
-                    chunk,
-                    level,
-                    sources,
-                    chunk_index * chunk_len,
-                    first_is_copy,
-                );
-            });
+        fold_chunk(self.texture.data_mut(), level, sources, first_is_copy);
         self.blend_texels += (sources.len() as u64 - u64::from(first_is_copy)) * len;
         self.next += sources.len();
     }
@@ -447,7 +407,7 @@ impl<'a> StreamingGather<'a> {
     }
 }
 
-/// Folds a run of source textures into one destination chunk, specialized
+/// Folds a run of source textures into the destination texels, specialized
 /// per source count: the common fan-ins (a 2–4-pipe machine's partials all
 /// ready at once) run as a single fused SIMD loop that reads every source
 /// once and writes the destination once, instead of one read-modify-write
@@ -458,11 +418,10 @@ fn fold_chunk(
     chunk: &mut [f32],
     level: crate::simd::SimdLevel,
     sources: &[&Texture],
-    start: usize,
     first_is_copy: bool,
 ) {
     let len = chunk.len();
-    let s = |k: usize| -> &[f32] { &sources[k].data()[start..start + len] };
+    let s = |k: usize| -> &[f32] { &sources[k].data()[..len] };
     match (first_is_copy, sources.len()) {
         (_, 0) => {}
         (true, 1) => crate::simd::copy_slice(level, chunk, s(0)),
@@ -478,42 +437,30 @@ fn fold_chunk(
         // four instead of per source.
         (first, _) => {
             let (head, tail) = sources.split_at(4);
-            fold_chunk(chunk, level, head, start, first);
-            fold_chunk(chunk, level, tail, start, false);
+            fold_chunk(chunk, level, head, first);
+            fold_chunk(chunk, level, tail, false);
         }
     }
 }
 
-/// Copies `tile`'s pixel region of `partial` into `dst`, parallelized over
-/// row chunks of the destination.
+/// Copies `tile`'s pixel region of `partial` into `dst`, one row at a time.
 fn blit_tile(dst: &mut Texture, partial: &Texture, tile: PixelTile) {
     let width = dst.width();
-    let height = dst.height();
     let x1 = tile.x1.min(width);
     if tile.x0 >= x1 {
         return;
     }
-    let chunk_len = compose_chunk_len(width, height);
-    let chunk_rows = chunk_len / width;
     let level = crate::simd::active();
-    dst.data_mut()
-        .par_chunks_mut(chunk_len)
-        .enumerate()
-        .for_each(|(chunk_index, chunk)| {
-            let y_start = chunk_index * chunk_rows;
-            let rows = chunk.len() / width;
-            let y_lo = tile.y0.max(y_start);
-            let y_hi = tile.y1.min(height).min(y_start + rows);
-            for y in y_lo..y_hi {
-                let local = (y - y_start) * width;
-                let row_start = y * width;
-                crate::simd::copy_slice(
-                    level,
-                    &mut chunk[local + tile.x0..local + x1],
-                    &partial.data()[row_start + tile.x0..row_start + x1],
-                );
-            }
-        });
+    let y_hi = tile.y1.min(dst.height());
+    let dst = dst.data_mut();
+    for y in tile.y0..y_hi {
+        let row = y * width;
+        crate::simd::copy_slice(
+            level,
+            &mut dst[row + tile.x0..row + x1],
+            &partial.data()[row + tile.x0..row + x1],
+        );
+    }
 }
 
 /// Blends partial textures (all covering the full target) by texel-wise
@@ -736,22 +683,24 @@ mod tests {
     }
 
     #[test]
-    fn large_textures_take_the_chunked_path_with_identical_results() {
-        // 512² is above the parallel threshold; verify against a hand
-        // sequential fold.
-        let partials: Vec<Texture> = (0..3)
-            .map(|i| {
-                let mut t = Texture::new(512, 512);
-                for (k, v) in t.data_mut().iter_mut().enumerate() {
-                    *v = ((k % 97) as f32) * 0.01 + i as f32;
-                }
-                t
-            })
-            .collect();
-        let mut expected = partials[0].clone();
-        expected.accumulate(&partials[1]);
-        expected.accumulate(&partials[2]);
-        let got = gather_additive(&partials);
-        assert_eq!(expected.absolute_difference(&got.texture), 0.0);
+    fn large_textures_fold_bitwise_equal_to_sequential_accumulate() {
+        // A 512² fold and one whose row count is not a multiple of 32 both
+        // match a hand sequential fold bit for bit.
+        for (width, height) in [(512, 512), (300, 257)] {
+            let partials: Vec<Texture> = (0..3)
+                .map(|i| {
+                    let mut t = Texture::new(width, height);
+                    for (k, v) in t.data_mut().iter_mut().enumerate() {
+                        *v = ((k % 97) as f32) * 0.01 + i as f32;
+                    }
+                    t
+                })
+                .collect();
+            let mut expected = partials[0].clone();
+            expected.accumulate(&partials[1]);
+            expected.accumulate(&partials[2]);
+            let got = gather_additive(&partials);
+            assert_eq!(expected.absolute_difference(&got.texture), 0.0);
+        }
     }
 }

@@ -79,7 +79,7 @@ fn tiled_dnc_matches_sequential_on_dns_slice() {
 }
 
 #[test]
-fn cpu_only_rayon_matches_sequential_on_dns_slice() {
+fn cpu_only_matches_sequential_on_dns_slice() {
     let mut dns = DnsSolver::new(DnsConfig {
         nx: 48,
         ny: 32,
