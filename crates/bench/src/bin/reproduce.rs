@@ -5,16 +5,24 @@
 //! cargo run --release -p spotnoise-bench --bin reproduce -- table1 table2
 //! cargo run --release -p spotnoise-bench --bin reproduce -- figure6 --out results
 //! cargo run --release -p spotnoise-bench --bin reproduce -- table1 --quick
+//! cargo run --release -p spotnoise-bench --bin reproduce -- ablation-mesh ablation-spots
 //! ```
 //!
 //! Outputs:
 //! * tables are printed to stdout (simulated Onyx2 throughput next to the
 //!   paper's published numbers and the measured host throughput) and written
 //!   as JSON to `<out>/tableN.json`;
-//! * figures are written as PPM images to `<out>/figureN*.ppm`.
+//! * figures are written as PPM images to `<out>/figureN*.ppm`;
+//! * the `ablation-*` targets sweep one design trade-off of the paper on a
+//!   scaled workload and print one row per setting: simulated Onyx2 and
+//!   median host textures/s side by side.
+//!
+//! An unknown target or a `--out` without a value prints the usage line and
+//! exits with status 2 before any work runs.
 
+use flowfield::analytic::Vortex;
 use flowfield::particles::ParticleOptions;
-use flowfield::{Rect, Vec2};
+use flowfield::{Rect, Vec2, VectorField};
 use flowsim::{pattern_from_dns, skin_friction_field, DnsConfig, DnsSolver, SmogModel};
 use flowviz::{
     draw_map, draw_rect_outline, overlay_scalar_field, texture_to_framebuffer, Colormap,
@@ -23,63 +31,74 @@ use softpipe::machine::MachineConfig;
 use softpipe::Rgb;
 use spotnoise::advect::PositionMode;
 use spotnoise::config::{SpotKind, SynthesisConfig};
-use spotnoise::dnc::synthesize_dnc;
+use spotnoise::dnc::{synthesize_cpu_only, synthesize_dnc};
 use spotnoise::filter::standard_postprocess;
 use spotnoise::pipeline::{ExecutionMode, Pipeline};
-use spotnoise::spot::generate_spots;
+use spotnoise::spot::{generate_spots, Spot};
 use spotnoise::synth::synthesize_sequential;
 use spotnoise_bench::{
-    atmospheric_paper, atmospheric_scaled, format_table, paper_table1, paper_table2,
-    run_table_sweep, turbulence_paper, turbulence_scaled, SweepCell, Workload,
+    ablation_row, analytic_small, atmospheric_paper, atmospheric_scaled, format_table,
+    paper_table1, paper_table2, run_table_sweep, turbulence_paper, turbulence_scaled, SweepCell,
+    Workload, ABLATION_RUNS,
 };
 use std::path::{Path, PathBuf};
+use std::time::Instant;
+
+/// A target's name and what it runs, given `--quick` and the output directory.
+type Target = (&'static str, fn(bool, &Path));
+
+/// Every target, in the order `all` runs them.
+const TARGETS: [Target; 13] = [
+    ("table1", |quick, out| reproduce_table(1, quick, out)),
+    ("table2", |quick, out| reproduce_table(2, quick, out)),
+    ("figure1", |_, out| figure1(out)),
+    ("figure2", |_, out| figure2(out)),
+    ("figure6", |quick, out| figure6(out, quick)),
+    ("figure7", |quick, out| figure7(out, quick)),
+    ("bandwidth", |quick, _| bandwidth(quick)),
+    ("pipeline", |_, _| pipeline_breakdown()),
+    ("ablation-mesh", |_, _| ablation_mesh()),
+    ("ablation-spots", |_, _| ablation_spots()),
+    ("ablation-tiling", |_, _| ablation_tiling()),
+    ("ablation-transform", |_, _| ablation_transform()),
+    ("ablation-executor", |_, _| ablation_executor()),
+];
+
+fn usage() -> ! {
+    let names: Vec<&str> = TARGETS.iter().map(|(name, _)| *name).collect();
+    eprintln!(
+        "usage: reproduce [--quick] [--out DIR] [all | {}]...",
+        names.join(" | ")
+    );
+    std::process::exit(2)
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut targets = Vec::new();
     let mut out_dir = PathBuf::from("results");
     let mut quick = false;
-    let mut iter = args.iter().peekable();
+    let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--out" => {
-                if let Some(dir) = iter.next() {
-                    out_dir = PathBuf::from(dir);
-                }
-            }
+            "--out" => out_dir = PathBuf::from(iter.next().unwrap_or_else(|| usage())),
             "--quick" => quick = true,
-            other => targets.push(other.to_string()),
+            "all" => targets.extend(TARGETS),
+            other => match TARGETS.iter().find(|(name, _)| *name == other) {
+                Some(target) => targets.push(*target),
+                None => {
+                    eprintln!("unknown target: {other}");
+                    usage()
+                }
+            },
         }
     }
-    if targets.is_empty() || targets.iter().any(|t| t == "all") {
-        targets = vec![
-            "table1",
-            "table2",
-            "figure1",
-            "figure2",
-            "figure6",
-            "figure7",
-            "bandwidth",
-            "pipeline",
-        ]
-        .into_iter()
-        .map(String::from)
-        .collect();
+    if targets.is_empty() {
+        targets.extend(TARGETS);
     }
     std::fs::create_dir_all(&out_dir).expect("cannot create output directory");
-
-    for target in &targets {
-        match target.as_str() {
-            "table1" => reproduce_table(1, quick, &out_dir),
-            "table2" => reproduce_table(2, quick, &out_dir),
-            "figure1" => figure1(&out_dir),
-            "figure2" => figure2(&out_dir),
-            "figure6" => figure6(&out_dir, quick),
-            "figure7" => figure7(&out_dir, quick),
-            "bandwidth" => bandwidth(quick),
-            "pipeline" => pipeline_breakdown(),
-            unknown => eprintln!("unknown target: {unknown}"),
-        }
+    for (_, run) in targets {
+        run(quick, &out_dir);
     }
 }
 
@@ -432,6 +451,142 @@ fn pipeline_breakdown() {
         );
     }
     println!();
+}
+
+/// One divide-and-conquer run, as [`ablation_row`] wants it: the simulated
+/// Onyx2 textures/s and the host wall seconds.
+fn dnc_run(
+    field: &dyn VectorField,
+    spots: &[Spot],
+    cfg: &SynthesisConfig,
+    machine: &MachineConfig,
+) -> (Option<f64>, f64) {
+    let out = synthesize_dnc(field, spots, cfg, machine);
+    (Some(out.predicted.textures_per_second), out.wall_seconds)
+}
+
+fn print_header(title: &str) {
+    println!("\n=== Ablation: {title} ===");
+    println!(
+        "{:<24}{:>12}{:>12}   (textures/s; host = median of {ABLATION_RUNS} runs)",
+        "", "simulated", "host"
+    );
+}
+
+fn print_row(label: &str, (simulated, host): (Option<f64>, f64)) {
+    let simulated = simulated.map_or("-".to_string(), |v| format!("{v:.1}"));
+    println!("{label:<24}{simulated:>12}{host:>12.1}");
+}
+
+/// Paper §5.1: "a 32x17 mesh … very accurate", coarser meshes are faster.
+fn ablation_mesh() {
+    print_header("bent-spot mesh (paper §5.1), atmospheric (scaled), 4 procs x 2 pipes");
+    let w = atmospheric_scaled();
+    let machine = MachineConfig::new(4, 2);
+    for (rows, cols) in [(32, 17), (16, 9), (12, 7), (8, 5), (4, 3)] {
+        let cfg = SynthesisConfig {
+            spot_kind: SpotKind::Bent { rows, cols },
+            ..w.config
+        };
+        let row = ablation_row(|| dnc_run(w.field.as_ref(), &w.spots, &cfg, &machine));
+        print_row(&format!("{rows}x{cols}"), row);
+    }
+}
+
+/// Paper §5.2: fewer spots are less accurate but faster.
+fn ablation_spots() {
+    print_header("spot count (paper §5.2), turbulence (scaled), 4 procs x 2 pipes");
+    let w = turbulence_scaled();
+    let machine = MachineConfig::new(4, 2);
+    for spot_count in [500, 1000, 2000, 4000, 8000] {
+        let cfg = SynthesisConfig {
+            spot_count,
+            ..w.config
+        };
+        let spots = generate_spots(
+            spot_count,
+            w.field.domain(),
+            cfg.intensity_amplitude,
+            cfg.seed,
+        );
+        let row = ablation_row(|| dnc_run(w.field.as_ref(), &spots, &cfg, &machine));
+        print_row(&format!("{spot_count} spots"), row);
+    }
+}
+
+/// Paper §3–4: texture tiling saves texture space but duplicates the
+/// overlap-boundary spots and adds blend work; round-robin does neither.
+fn ablation_tiling() {
+    print_header("tiled vs round-robin partitioning (paper §3–4), atmospheric (scaled)");
+    let w = atmospheric_scaled();
+    for pipes in [2, 4] {
+        let machine = MachineConfig::new(8, pipes);
+        for (use_tiling, label) in [(false, "round-robin"), (true, "tiled")] {
+            let cfg = SynthesisConfig {
+                use_tiling,
+                ..w.config
+            };
+            let row = ablation_row(|| dnc_run(w.field.as_ref(), &w.spots, &cfg, &machine));
+            print_row(&format!("8p {pipes}g {label}"), row);
+        }
+    }
+}
+
+/// Paper §4: disc spots are transformed in software, "thus avoiding the high
+/// synchronization overhead costs for setting transformation matrices for
+/// each rendered spot"; the on-pipe variant pays that penalty.
+fn ablation_transform() {
+    print_header("spot transform (paper §4), vortex, 4000 discs, 4 procs x 2 pipes");
+    let domain = Rect::new(Vec2::ZERO, Vec2::new(1.0, 1.0));
+    let field = Vortex {
+        omega: 1.5,
+        center: domain.center(),
+        domain,
+    };
+    let base = SynthesisConfig {
+        texture_size: 256,
+        spot_count: 4000,
+        spot_radius: 0.02,
+        spot_kind: SpotKind::Disc,
+        ..SynthesisConfig::small_test()
+    };
+    let spots = generate_spots(base.spot_count, domain, 1.0, 1);
+    let machine = MachineConfig::new(4, 2);
+    for (transform_on_pipe, label) in [
+        (false, "software transform"),
+        (true, "on-pipe matrix loads"),
+    ] {
+        let cfg = SynthesisConfig {
+            transform_on_pipe,
+            ..base
+        };
+        let row = ablation_row(|| dnc_run(&field, &spots, &cfg, &machine));
+        print_row(label, row);
+    }
+}
+
+/// Sequential synthesis (eq 2.1) vs divide-and-conquer (eq 3.2) on the full
+/// Onyx2 vs the CPU-only executor that bypasses the graphics subsystem.
+fn ablation_executor() {
+    let tasks = std::thread::available_parallelism().map_or(4, |n| n.get());
+    let onyx2 = MachineConfig::onyx2_full();
+    for w in [analytic_small(), atmospheric_scaled()] {
+        print_header(&format!("executors, {}", w.name));
+        let (field, spots, cfg) = (w.field.as_ref(), &w.spots, &w.config);
+        let sequential = ablation_row(|| {
+            let start = Instant::now();
+            std::hint::black_box(synthesize_sequential(field, spots, cfg));
+            (None, start.elapsed().as_secs_f64())
+        });
+        print_row("sequential", sequential);
+        let dnc = ablation_row(|| dnc_run(field, spots, cfg, &onyx2));
+        print_row("dnc 8p 4g", dnc);
+        let cpu_only = ablation_row(|| {
+            let wall = synthesize_cpu_only(field, spots, cfg, tasks).wall_seconds;
+            (None, wall)
+        });
+        print_row(&format!("cpu-only {tasks} tasks"), cpu_only);
+    }
 }
 
 fn save_gray(texture: &softpipe::Texture, out_dir: &Path, name: &str) {

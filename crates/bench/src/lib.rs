@@ -3,8 +3,8 @@
 //! Every table and figure of the paper is regenerated from the workloads
 //! defined here. A [`Workload`] bundles a vector field (produced by the
 //! application substrates in `flowsim`), a spot population and a synthesis
-//! configuration; the benchmark binaries and Criterion benches then run the
-//! sequential, divide-and-conquer and CPU-only executors over it.
+//! configuration; the `reproduce` tables and `ablation-*` targets then run
+//! the sequential, divide-and-conquer and CPU-only executors over it.
 //!
 //! Two sizes exist for each workload:
 //!
@@ -13,8 +13,8 @@
 //!   the turbulence case). Used by the `reproduce` binary that regenerates
 //!   Tables 1 and 2 through the calibrated cost model.
 //! * `*_scaled()` — reduced versions (smaller texture, fewer spots, coarser
-//!   meshes) with the same *structure*, used by the Criterion wall-clock
-//!   benches so a full sweep completes in minutes on a laptop.
+//!   meshes) with the same *structure*, used by `reproduce --quick` and the
+//!   `reproduce ablation-*` targets so a full sweep completes in seconds.
 
 #![warn(missing_docs)]
 
@@ -94,8 +94,8 @@ pub fn atmospheric_paper() -> Workload {
     )
 }
 
-/// Table 1 workload scaled down for wall-clock benches: same 53x55 wind grid,
-/// but a 256² texture, 600 bent spots and a 12x7 mesh.
+/// Table 1 workload scaled down for `--quick` and the ablations: same 53x55
+/// wind grid, but a 256² texture, 600 bent spots and a 12x7 mesh.
 pub fn atmospheric_scaled() -> Workload {
     let config = SynthesisConfig {
         texture_size: 256,
@@ -119,7 +119,7 @@ pub fn turbulence_paper() -> Workload {
     )
 }
 
-/// Table 2 workload scaled down for wall-clock benches.
+/// Table 2 workload scaled down for `--quick` and the ablations.
 pub fn turbulence_scaled() -> Workload {
     let config = SynthesisConfig {
         texture_size: 256,
@@ -192,6 +192,28 @@ pub fn run_table_sweep(workload: &Workload) -> Vec<SweepCell> {
             }
         })
         .collect()
+}
+
+/// Host runs behind every `reproduce ablation-*` row.
+pub const ABLATION_RUNS: usize = 5;
+
+/// One `reproduce ablation-*` row. Runs `run` (one synthesis, returning its
+/// simulated Onyx2 textures/s, if the executor has a cost model, and its
+/// host wall seconds) [`ABLATION_RUNS`] times and returns the simulated
+/// rate and the median host textures/s. The simulated rate comes from
+/// deterministic work counts, so every run reports the same one.
+pub fn ablation_row(mut run: impl FnMut() -> (Option<f64>, f64)) -> (Option<f64>, f64) {
+    let mut simulated = None;
+    let mut walls: Vec<f64> = (0..ABLATION_RUNS)
+        .map(|_| {
+            let (sim, wall) = run();
+            simulated = sim;
+            wall
+        })
+        .collect();
+    walls.sort_by(f64::total_cmp);
+    let median = walls[ABLATION_RUNS / 2];
+    (simulated, if median > 0.0 { 1.0 / median } else { 0.0 })
 }
 
 /// Formats a sweep as the paper formats its tables: rows = processors,

@@ -596,14 +596,6 @@ fn pipe_pool_case(
             // The bit-identical opt-out: spawn one worker per group per
             // frame, exactly as before the pool existed.
             p.set_pipe_pool(None);
-        } else if p.pipe_pool().is_none() {
-            // Under SPOTNOISE_PIPE_POOL=off the *default* flips to
-            // spawn-per-frame; this case measures the pool itself, so pin
-            // one explicitly — both legs stay meaningful in either CI
-            // matrix leg.
-            p.set_pipe_pool(Some(
-                softpipe::PipePool::new(p.frame_arena().cloned()).into(),
-            ));
         }
         p
     };

@@ -6,7 +6,7 @@
 //! [`SynthesisConfig::atmospheric_paper`] and
 //! [`SynthesisConfig::turbulence_paper`] encode the exact parameter sets of
 //! the two evaluation workloads (Tables 1 and 2), and the individual fields
-//! are what the ablation benchmarks sweep.
+//! are what the `reproduce ablation-*` targets sweep.
 
 use flowfield::Integrator;
 pub use softpipe::SamplingMode;
@@ -81,7 +81,7 @@ pub struct SynthesisConfig {
     /// implementation deliberately does *not* do this — "thus avoiding the
     /// high synchronization overhead costs for setting transformation
     /// matrices for each rendered spot" — and this switch exists to measure
-    /// that trade-off (the `ablation_transform` bench). Ignored for bent
+    /// that trade-off (`reproduce ablation-transform`). Ignored for bent
     /// spots, whose meshes must be computed in software anyway.
     pub transform_on_pipe: bool,
     /// Number of spots a master accumulates before streaming one

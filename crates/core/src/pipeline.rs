@@ -74,22 +74,13 @@ pub struct Pipeline {
     sink: TraceSink,
 }
 
-/// Whether pipelines (and the service) pool pipe workers by default. The
-/// `SPOTNOISE_PIPE_POOL=off` environment switch flips the *default* to
-/// spawn-per-frame — this is what the CI matrix uses to run the whole test
-/// suite down the opt-out path; explicit [`Pipeline::set_pipe_pool`] calls
-/// always win.
-pub fn pipe_pool_default_enabled() -> bool {
-    std::env::var("SPOTNOISE_PIPE_POOL").map_or(true, |v| v != "off")
-}
-
 impl Pipeline {
     fn from_parts(cfg: SynthesisConfig, mode: ExecutionMode, animator: SpotAnimator) -> Self {
         let arena = Some(Arc::new(FrameArena::new()));
         // The default pool shares the pipeline's arena so pooled workers
         // recycle their partial readbacks into the same buffers the gather
         // composes with.
-        let pool = pipe_pool_default_enabled().then(|| Arc::new(PipePool::new(arena.clone())));
+        let pool = Some(Arc::new(PipePool::new(arena.clone())));
         Pipeline {
             cfg,
             mode,

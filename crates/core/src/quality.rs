@@ -2,10 +2,10 @@
 //!
 //! The paper trades speed against quality ("speed can be traded for quality
 //! and higher speeds than presented in the paper are possible") but never
-//! defines a quantitative quality measure. For the reproduction's regression
-//! tests and ablation benches we need one, so this module provides the two
-//! standard measures used in the later texture-based flow-visualization
-//! literature:
+//! defines a quantitative quality measure. `reproduce ablation-*` measures
+//! the speed side of each trade-off; for the quality side the regression
+//! tests need one, so this module provides the two standard measures used
+//! in the later texture-based flow-visualization literature:
 //!
 //! * **directional autocorrelation** — the correlation of the texture with a
 //!   copy of itself shifted *along* the local flow direction should be much
@@ -16,7 +16,8 @@
 //!
 //! These metrics are what the tests use to verify that spot deformation
 //! actually works (isotropic noise has anisotropy ≈ 1, flow-deformed spot
-//! noise clearly > 1) and that quality degrades gracefully in the ablations.
+//! noise clearly > 1) and that quality degrades gracefully along the
+//! parameters `reproduce ablation-*` sweeps.
 
 use flowfield::{Vec2, VectorField};
 use softpipe::Texture;

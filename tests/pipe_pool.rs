@@ -67,11 +67,6 @@ fn pooled_frames_are_bit_identical_to_spawn_per_frame() {
         let mut pooled = pipeline(cfg, 4);
         let mut spawning = pipeline(cfg, 4);
         spawning.set_pipe_pool(None);
-        if pooled.pipe_pool().is_none() {
-            // The opt-out CI matrix leg (SPOTNOISE_PIPE_POOL=off): force a
-            // pool onto one side so the comparison still tests reuse.
-            pooled.set_pipe_pool(Some(Arc::new(PipePool::new(pooled.frame_arena().cloned()))));
-        }
         for frame in 0..4 {
             let a = pooled.advance(&field, 0.05, 0);
             let b = spawning.advance(&field, 0.05, 0);
@@ -97,9 +92,6 @@ fn steady_state_spawns_zero_threads_and_allocates_zero_framebuffers() {
     // is fully deterministic (the master runs inline on the calling
     // thread), so the strict "never again" assertions are exact.
     let mut p = pipeline(quick_cfg(64), 1);
-    if p.pipe_pool().is_none() {
-        p.set_pipe_pool(Some(Arc::new(PipePool::new(p.frame_arena().cloned()))));
-    }
     // Warm-up: the first frames fault in pipes and buffers.
     for _ in 0..2 {
         let out = p.advance(&field, 0.05, 0);
@@ -130,9 +122,6 @@ fn steady_state_spawns_zero_threads_and_allocates_zero_framebuffers() {
     // replacement, plus the served frame), and pipe spawns stay exactly
     // one per (size, group) key.
     let mut p = pipeline(quick_cfg(64), 2);
-    if p.pipe_pool().is_none() {
-        p.set_pipe_pool(Some(Arc::new(PipePool::new(p.frame_arena().cloned()))));
-    }
     for _ in 0..12 {
         let out = p.advance(&field, 0.05, 0);
         p.frame_arena().unwrap().recycle_texture(out.texture);

@@ -3,11 +3,11 @@
 
 use softpipe::cost::{CpuWork, PipeWork};
 use softpipe::machine::MachineConfig;
-use spotnoise::config::SynthesisConfig;
+use spotnoise::config::{SpotKind, SynthesisConfig};
 use spotnoise::dnc::synthesize_dnc;
 use spotnoise::perfmodel::predict_even_split;
 use spotnoise::spot::generate_spots;
-use spotnoise_bench::{analytic_small, paper_table1, paper_table2};
+use spotnoise_bench::{ablation_row, analytic_small, paper_table1, paper_table2};
 
 /// Work totals per texture for a paper workload, derived from its config.
 fn work_totals(cfg: &SynthesisConfig, fragments_per_spot: u64) -> (CpuWork, PipeWork) {
@@ -141,5 +141,50 @@ fn bus_utilisation_stays_below_the_papers_bound() {
     assert!(
         utilisation > 0.01,
         "bus utilisation {utilisation} suspiciously low"
+    );
+}
+
+/// Simulated textures/s of one `reproduce ablation-*` row at (4,2).
+fn simulated_row(cfg: &SynthesisConfig) -> f64 {
+    let w = analytic_small();
+    let spots = generate_spots(cfg.spot_count, w.field.domain(), 1.0, cfg.seed);
+    let machine = MachineConfig::new(4, 2);
+    let (simulated, _host) = ablation_row(|| {
+        let out = synthesize_dnc(w.field.as_ref(), &spots, cfg, &machine);
+        (Some(out.predicted.textures_per_second), out.wall_seconds)
+    });
+    simulated.unwrap()
+}
+
+#[test]
+fn model_follows_the_papers_mesh_and_spot_count_tradeoffs() {
+    let base = SynthesisConfig {
+        texture_size: 64,
+        spot_count: 200,
+        spot_kind: SpotKind::Bent { rows: 8, cols: 3 },
+        ..analytic_small().config
+    };
+    // Paper §5.1: coarser bent-spot meshes are faster.
+    let by_mesh: Vec<f64> = [(32, 17), (16, 9), (12, 7), (8, 5), (4, 3)]
+        .into_iter()
+        .map(|(rows, cols)| {
+            simulated_row(&SynthesisConfig {
+                spot_kind: SpotKind::Bent { rows, cols },
+                ..base
+            })
+        })
+        .collect();
+    assert!(
+        by_mesh.windows(2).all(|w| w[1] > w[0]),
+        "simulated rate must rise as the mesh coarsens: {by_mesh:?}"
+    );
+    // Paper §5.2: fewer spots are faster.
+    let by_count: Vec<f64> = [100, 200, 400, 800]
+        .into_iter()
+        .map(|spot_count| simulated_row(&SynthesisConfig { spot_count, ..base }))
+        .collect();
+    assert!(
+        by_count.windows(2).all(|w| w[1] < w[0]),
+        "simulated rate must fall as the spot count grows: {by_count:?}"
     );
 }
