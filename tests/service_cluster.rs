@@ -413,3 +413,281 @@ fn cluster_stats_aggregate_and_streams_relay_bit_identically() {
         w.shutdown();
     }
 }
+
+/// The `/stats` and `/metrics` surfaces of a worker, one row per item:
+/// `stats-path json-type metrics-family prometheus-type`. A path is a
+/// top-level key or `section.field`; `-` marks a row absent from that
+/// surface. Type `sum` names a histogram's `_sum` series rather than a
+/// family of its own.
+const NODE_SURFACES: &[&str] = &[
+    "schema string - -",
+    "uptime_seconds number spotnoise_uptime_seconds gauge",
+    "node.id string - -",
+    "node.peers number - -",
+    "cluster.peer_hits number spotnoise_peer_cache_hits_total counter",
+    "cluster.peer_misses number spotnoise_peer_cache_misses_total counter",
+    "cluster.peer_errors number spotnoise_peer_cache_errors_total counter",
+    "cluster.peer_serves number spotnoise_peer_cache_serves_total counter",
+    "sessions.live number spotnoise_sessions_live gauge",
+    "sessions.created number spotnoise_sessions_created_total counter",
+    "sessions.evicted number spotnoise_sessions_evicted_total counter",
+    "sessions.closed number spotnoise_sessions_closed_total counter",
+    "sessions.quarantined number spotnoise_sessions_quarantined_total counter",
+    "sessions.capacity number - -",
+    "sessions.ids array - -",
+    "frames.rendered number spotnoise_frames_rendered_total counter",
+    "frames.advect_us_total number spotnoise_stage_advect_us_sum sum",
+    "frames.synthesize_us_total number spotnoise_stage_synthesize_us_sum sum",
+    "frames.render_us_total number spotnoise_stage_render_us_sum sum",
+    "frames.mean_synthesize_us number - -",
+    "channels.live number spotnoise_channels_live gauge",
+    "channels.created number - -",
+    "channels.subscribers number spotnoise_channels_subscribers gauge",
+    "channels.peak_subscribers number - -",
+    "channels.delivered number spotnoise_channels_delivered_total counter",
+    "channels.synthesized number spotnoise_channels_synthesized_total counter",
+    "channels.skips number spotnoise_channels_skips_total counter",
+    "channels.delivery_ratio number - -",
+    "cache.entries number spotnoise_cache_entries gauge",
+    "cache.bytes number spotnoise_cache_bytes gauge",
+    "cache.capacity_bytes number - -",
+    "cache.hits number spotnoise_cache_hits_total counter",
+    "cache.misses number spotnoise_cache_misses_total counter",
+    "cache.insertions number spotnoise_cache_insertions_total counter",
+    "cache.inserted_lookahead number spotnoise_cache_inserted_lookahead_total counter",
+    "cache.evictions number spotnoise_cache_evictions_total counter",
+    "cache.hit_rate number - -",
+    "queue.depth number spotnoise_queue_depth gauge",
+    "queue.peak_depth number spotnoise_queue_peak_depth gauge",
+    "queue.watermark number - -",
+    "queue.per_session_cap number - -",
+    "queue.accepted number spotnoise_queue_accepted_total counter",
+    "queue.shed_busy number spotnoise_queue_shed_busy_total counter",
+    "queue.shed_session number spotnoise_queue_shed_session_total counter",
+    "queue.completed number spotnoise_queue_completed_total counter",
+    "pressure.state string spotnoise_pressure_state gauge",
+    "pressure.entered_elevated number spotnoise_pressure_entered_elevated_total counter",
+    "pressure.entered_saturated number spotnoise_pressure_entered_saturated_total counter",
+    "pressure.recovered number spotnoise_pressure_recovered_total counter",
+    "pressure.stale_serves number spotnoise_stale_serves_total counter",
+    "pressure.degraded_serves number spotnoise_degraded_serves_total counter",
+    "pressure.deadline_shed number spotnoise_deadline_shed_total counter",
+    "faults.panics_caught number spotnoise_panics_caught_total counter",
+    "faults.lock_recoveries number spotnoise_lock_recoveries_total counter",
+    "faults.injected_panics number spotnoise_fault_injected_panics_total counter",
+    "faults.injected_delays number spotnoise_fault_injected_delays_total counter",
+    "pipes.pooled bool - -",
+    "pipes.spawned number spotnoise_pipes_spawned_total counter",
+    "pipes.reused number spotnoise_pipes_reused_total counter",
+    "pipes.retired number spotnoise_pipes_retired_total counter",
+    "pipes.discarded number spotnoise_pipes_discarded_total counter",
+    "pipes.idle number spotnoise_pipes_idle gauge",
+    "http.requests number spotnoise_http_requests_total counter",
+    "http.streams number spotnoise_streams_started_total counter",
+    "http.streamed_frames number spotnoise_frames_streamed_total counter",
+    "http.streams_aborted number spotnoise_streams_aborted_total counter",
+    "- - spotnoise_trace_recorded_total counter",
+    "latency.request object spotnoise_request_duration_us histogram",
+    "latency.queue_wait object spotnoise_queue_wait_us histogram",
+    "latency.advect object spotnoise_stage_advect_us histogram",
+    "latency.synthesize object spotnoise_stage_synthesize_us histogram",
+    "latency.render object spotnoise_stage_render_us histogram",
+    "latency.pipe_checkout object spotnoise_pipe_checkout_wait_us histogram",
+    "per_session array - -",
+];
+
+/// The router's `/stats` `router` section and its own `/metrics` families
+/// (the `spotnoise_router_` prefix), in the same row form.
+const ROUTER_SURFACES: &[&str] = &[
+    "router.id string - -",
+    "router.workers number - -",
+    "router.workers_up number - -",
+    "router.requests number spotnoise_router_requests_total counter",
+    "router.proxied number spotnoise_router_proxied_total counter",
+    "router.sessions_created number - -",
+    "router.rerouted number spotnoise_router_rerouted_total counter",
+    "router.shed number spotnoise_router_shed_total counter",
+    "router.node_errors number spotnoise_router_node_errors_total counter",
+    "router.streams_relayed number - -",
+    "router.frames_relayed number spotnoise_router_frames_relayed_total counter",
+    "router.panics_caught number - -",
+];
+
+/// Numeric `/stats` fields that only mean something per node (ratios,
+/// configuration, cluster membership): the cluster rollup omits them.
+const PER_NODE_FIELDS: &[&str] = &[
+    "node.peers",
+    "frames.mean_synthesize_us",
+    "channels.delivery_ratio",
+    "cache.hit_rate",
+    "queue.watermark",
+    "queue.per_session_cap",
+    "router.workers",
+    "router.workers_up",
+];
+
+/// Splits a surface row into its four columns.
+fn surface_row(row: &str) -> [&str; 4] {
+    let columns: Vec<&str> = row.split_whitespace().collect();
+    columns.try_into().expect("a surface row has four columns")
+}
+
+fn json_type(value: &Json) -> &'static str {
+    match value {
+        Json::Null => "null",
+        Json::Bool(_) => "bool",
+        Json::Number(_) => "number",
+        Json::Str(_) => "string",
+        Json::Array(_) => "array",
+        Json::Object(_) => "object",
+    }
+}
+
+/// Flattens a `/stats` document into sorted `path json-type` strings: each
+/// top-level key, or `section.field` for the fields of an object section.
+fn stats_paths(doc: &Json) -> Vec<String> {
+    let Json::Object(entries) = doc else {
+        panic!("/stats is not an object");
+    };
+    let mut paths = Vec::new();
+    for (key, value) in entries {
+        match value {
+            Json::Object(fields) => {
+                for (field, value) in fields {
+                    paths.push(format!("{key}.{field} {}", json_type(value)));
+                }
+            }
+            other => paths.push(format!("{key} {}", json_type(other))),
+        }
+    }
+    paths.sort();
+    paths
+}
+
+/// The `family type` pairs of a Prometheus exposition's `# TYPE` lines,
+/// sorted.
+fn metric_families(text: &str) -> Vec<String> {
+    let mut families: Vec<String> = text
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE "))
+        .map(str::to_string)
+        .collect();
+    families.sort();
+    families
+}
+
+/// Asserts that a surface table matches the live documents exactly: the
+/// `/stats` paths (with their JSON types) and the `/metrics` families
+/// (with their Prometheus types; a histogram brings its percentile gauges).
+fn assert_surfaces(rows: &[&str], stats: Vec<String>, metrics: &str, families: Vec<String>) {
+    let mut want_stats = Vec::new();
+    let mut want_families = Vec::new();
+    for [path, json, family, kind] in rows.iter().map(|row| surface_row(row)) {
+        if path != "-" {
+            want_stats.push(format!("{path} {json}"));
+        }
+        match (family, kind) {
+            ("-", _) => {}
+            (_, "sum") => assert!(
+                metrics
+                    .lines()
+                    .any(|l| l.starts_with(&format!("{family} "))),
+                "missing series {family}"
+            ),
+            (_, "histogram") => {
+                want_families.push(format!("{family} histogram"));
+                for q in ["p50", "p90", "p99"] {
+                    want_families.push(format!("{family}_{q} gauge"));
+                }
+            }
+            _ => want_families.push(format!("{family} {kind}")),
+        }
+    }
+    want_stats.sort();
+    want_families.sort();
+    assert_eq!(
+        stats, want_stats,
+        "/stats paths drifted from the pinned surface"
+    );
+    assert_eq!(
+        families, want_families,
+        "/metrics families drifted from the pinned surface"
+    );
+}
+
+#[test]
+fn stats_and_metrics_surfaces_are_pinned_name_by_name() {
+    let (workers, router) = start_cluster(1);
+    let mut client = ServiceClient::connect(router.addr()).expect("connect router");
+    let session = client
+        .create_session(&session_body(11, 1.0, false))
+        .expect("create through router");
+    client.fetch_frame(&session, 0).expect("fetch frame");
+
+    // A worker's own surfaces.
+    let mut worker = ServiceClient::connect(workers[0].addr()).expect("connect worker");
+    let node_stats = worker.stats().expect("worker stats");
+    let node_metrics = worker.metrics().expect("worker metrics");
+    assert_surfaces(
+        NODE_SURFACES,
+        stats_paths(&node_stats),
+        &node_metrics,
+        metric_families(&node_metrics),
+    );
+    // Every latency block has the fields the benches read.
+    let latency = node_stats.get("latency").expect("latency section");
+    for stage in [
+        "request",
+        "queue_wait",
+        "advect",
+        "synthesize",
+        "render",
+        "pipe_checkout",
+    ] {
+        let Some(Json::Object(fields)) = latency.get(stage) else {
+            panic!("latency.{stage} is not an object");
+        };
+        let mut keys: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
+        keys.sort_unstable();
+        assert_eq!(
+            keys,
+            ["count", "max_us", "mean_us", "p50_us", "p90_us", "p99_us"],
+            "latency.{stage} block"
+        );
+    }
+
+    // The router's own section and families.
+    let cluster_stats = client.stats().expect("router stats");
+    let router_paths = stats_paths(&cluster_stats)
+        .into_iter()
+        .filter(|path| path.starts_with("router."))
+        .collect();
+    let cluster_metrics = client.metrics().expect("router metrics");
+    let router_families = metric_families(&cluster_metrics)
+        .into_iter()
+        .filter(|family| family.starts_with("spotnoise_router_"))
+        .collect();
+    assert_surfaces(
+        ROUTER_SURFACES,
+        router_paths,
+        &cluster_metrics,
+        router_families,
+    );
+
+    // The cluster rollup carries every numeric worker field except the
+    // per-node ones.
+    let rollup = stats_paths(cluster_stats.get("cluster").expect("cluster section"));
+    let mut want_rollup: Vec<String> = NODE_SURFACES
+        .iter()
+        .map(|row| surface_row(row))
+        .filter(|[path, json, _, _]| *json == "number" && !PER_NODE_FIELDS.contains(path))
+        .map(|[path, json, _, _]| format!("{path} {json}"))
+        .collect();
+    want_rollup.sort();
+    assert_eq!(rollup, want_rollup, "cluster rollup drifted");
+
+    router.shutdown();
+    for w in workers {
+        w.shutdown();
+    }
+}
