@@ -163,26 +163,6 @@ pub fn synthesize_dnc_with_options(
     ctx: &SynthesisContext,
     opts: &SchedulerOptions,
 ) -> DncOutput {
-    synthesize_dnc_with_arena(field, spots, cfg, machine, ctx, opts, None, None)
-}
-
-/// Like [`synthesize_dnc_with_options`], additionally reusing pooled frame
-/// buffers from `arena` (gather target, partial textures, batch vectors)
-/// and persistent pipe workers from `pool` — the steady-state entry point
-/// the [`Pipeline`](crate::pipeline::Pipeline) drives so back-to-back
-/// frames perform no framebuffer-sized allocation and spawn no thread.
-/// Output is bit-identical with and without either pool.
-#[allow(clippy::too_many_arguments)]
-pub fn synthesize_dnc_with_arena(
-    field: &dyn VectorField,
-    spots: &[Spot],
-    cfg: &SynthesisConfig,
-    machine: &MachineConfig,
-    ctx: &SynthesisContext,
-    opts: &SchedulerOptions,
-    arena: Option<&Arc<FrameArena>>,
-    pool: Option<&Arc<PipePool>>,
-) -> DncOutput {
     synthesize_dnc_with_telemetry(
         field,
         spots,
@@ -190,16 +170,20 @@ pub fn synthesize_dnc_with_arena(
         machine,
         ctx,
         opts,
-        arena,
-        pool,
+        None,
+        None,
         &TraceSink::disabled(),
     )
 }
 
-/// Like [`synthesize_dnc_with_arena`], additionally recording per-group
-/// raster and gather spans into `sink` — the entry point the
-/// [`Pipeline`](crate::pipeline::Pipeline) drives when frame-lifecycle
-/// tracing is enabled. A disabled sink costs one branch per group.
+/// Like [`synthesize_dnc_with_options`], additionally reusing pooled frame
+/// buffers from `arena` (gather target, partial textures, batch vectors)
+/// and persistent pipe workers from `pool`, and recording per-group raster
+/// and gather spans into `sink` — the steady-state entry point the
+/// [`Pipeline`](crate::pipeline::Pipeline) drives, so back-to-back frames
+/// perform no framebuffer-sized allocation and spawn no thread. Output is
+/// bit-identical with and without either pool; a disabled sink costs one
+/// branch per group.
 #[allow(clippy::too_many_arguments)]
 pub fn synthesize_dnc_with_telemetry(
     field: &dyn VectorField,

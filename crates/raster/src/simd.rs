@@ -6,13 +6,13 @@
 //! — selected once per process by runtime feature detection, with scalar
 //! code as the portable fallback and correctness oracle:
 //!
-//! * span fills of the span walker: [`fill_bilinear_2d`] (Exact mode, both
+//! * span fills of the span walker: `fill_bilinear_2d` (Exact mode, both
 //!   texture coordinates vary along the row: four 2-D taps per pixel, AVX2
-//!   gathers them), [`fill_hoisted`] (Exact mode, `v` constant along the
-//!   row: one prefetched texture row pair), [`fill_nearest_2d`] and
-//!   [`fill_nearest_row`] (their Footprint-mode nearest-fetch twins) and
-//!   [`blend_uniform`] (uniform texture rows);
-//! * the gather folds [`fold_copy`] and [`fold_acc`], and [`copy_slice`].
+//!   gathers them), `fill_hoisted` (Exact mode, `v` constant along the
+//!   row: one prefetched texture row pair), `fill_nearest_2d` and
+//!   `fill_nearest_row` (their Footprint-mode nearest-fetch twins) and
+//!   `blend_uniform` (uniform texture rows);
+//! * the gather folds `fold_copy` and `fold_acc`, and `copy_slice`.
 //!
 //! # Bit identity
 //!
@@ -29,7 +29,7 @@
 //!   cast).
 //! * Bilinear texel indices come from truncating the clamped coordinate, which
 //!   lies in `[0, len − 1]`, where truncation equals `floor` (the scalar
-//!   sampler, [`bilinear_sample`], casts instead of calling libm `floorf`).
+//!   sampler, `bilinear_sample`, casts instead of calling libm `floorf`).
 //!   A NaN coordinate gives the scalar sampler index 0 and a NaN lerp
 //!   weight; the vector levels do the same (so the sample is NaN at every
 //!   level), and ±inf clamps to the edge texel. Every gathered index is

@@ -1,6 +1,5 @@
 //! Cluster-tier primitives shared by the router and its tests: consistent
-//! hashing, the cluster session-id codec, and the `/stats` aggregation
-//! table.
+//! hashing, the cluster session-id codec, and the `/stats` rollup.
 //!
 //! The paper scales spot noise by dividing the work over processors and
 //! compositing the results; the service scales the same way over
@@ -10,11 +9,13 @@
 //! channels to keep working across a cluster. [`ClusterSessionId`] embeds
 //! the owning node into the client-visible session id, so every later
 //! request routes without a lookup table. [`stats_aggregation`] classifies
-//! each per-node `/stats` field as summable (monotonic counters, additive
-//! gauges), max-able (peaks, uptime), or per-node-only (ratios,
-//! configuration, latency quantiles) so the router's cluster view never
-//! adds numbers that are meaningless to add.
+//! each per-node `/stats` field by the kind its stats-registry row
+//! declares — summable (monotonic counters, additive gauges), max-able
+//! (peaks, uptime), or per-node-only (ratios, configuration) — so the
+//! router's cluster view never adds numbers that are meaningless to add.
 
+use crate::node;
+use crate::stats::StatKind;
 use spotnoise::hash::StableHasher;
 use spotnoise::json::Json;
 
@@ -163,29 +164,16 @@ pub enum StatAgg {
 }
 
 /// Classifies a `(section, field)` pair of the per-node `/stats` document
-/// (schema `spotnoise_service_stats/v1`). Unknown numeric fields default
-/// to [`StatAgg::Sum`] — counters are the common case, and a wrongly
-/// summed peak is visible while a silently dropped counter is not.
+/// (schema `spotnoise_service_stats/v1`) by the kind the node's stats
+/// registry declares for it: counters and additive gauges are summed,
+/// peaks and clocks maxed, and ratios, configuration and states skipped.
+/// A field no registry row declares (identity, id lists, flags) is
+/// skipped too.
 pub fn stats_aggregation(section: &str, field: &str) -> StatAgg {
-    match (section, field) {
-        // Top-level scalars (section "").
-        ("", "uptime_seconds") => StatAgg::Max,
-        ("", "schema") => StatAgg::Skip,
-        // Peaks.
-        ("channels", "peak_subscribers") | ("queue", "peak_depth") => StatAgg::Max,
-        // Ratios and derived means — recompute from the summed inputs if
-        // needed; summing or averaging them is wrong under skewed load.
-        ("cache", "hit_rate")
-        | ("channels", "delivery_ratio")
-        | ("frames", "mean_synthesize_us") => StatAgg::Skip,
-        // Per-node configuration: identical across a homogeneous cluster,
-        // and summing capacities would misstate any single node's limit.
-        ("queue", "watermark") | ("queue", "per_session_cap") => StatAgg::Skip,
-        // Identity, enum state and id lists.
-        ("node", _) | ("sessions", "ids") | ("pressure", "state") | ("pipes", "pooled") => {
-            StatAgg::Skip
-        }
-        _ => StatAgg::Sum,
+    match node::stat_kind(section, field) {
+        Some(StatKind::Counter | StatKind::Gauge) => StatAgg::Sum,
+        Some(StatKind::Peak) => StatAgg::Max,
+        Some(StatKind::State(_) | StatKind::PerNode) | None => StatAgg::Skip,
     }
 }
 

@@ -22,11 +22,11 @@
 //!   shed-with-`503 Busy` beyond a watermark so overload degrades instead
 //!   of OOMing;
 //! * [`pressure`] — the graceful-degradation ladder: a tri-state
-//!   [`PressureGauge`](pressure::PressureGauge) over queue depth and
+//!   [`PressureGauge`] over queue depth and
 //!   queue-wait latency that disables channel look-ahead when elevated and
 //!   serves stale frontiers / drops to footprint sampling when saturated,
 //!   so overload degrades *quality* before it degrades *availability*;
-//! * [`node`] — the transport-free core: one [`NodeCore`](node::NodeCore)
+//! * [`node`] — the transport-free core: one [`NodeCore`]
 //!   owns all of the above plus the synthesis workers, with no socket in
 //!   sight — the seam the cluster tier is built on (and a peer frame-cache
 //!   lookup that lets sibling nodes serve each other's cached frames);
@@ -79,6 +79,7 @@ pub mod router;
 pub mod server;
 pub mod session;
 pub mod spec;
+mod stats;
 
 pub use cache::{FrameCache, FrameKey};
 pub use channel::{ChannelKey, ChannelRegistry, ChannelSubscription, ChannelTotals, FieldChannel};
@@ -87,7 +88,7 @@ pub use client::{
     StreamedFrame,
 };
 pub use cluster::{ClusterSessionId, HashRing};
-pub use node::{FrameResult, NodeCore, ServiceError, ServiceOptions, ServiceTelemetry};
+pub use node::{FrameResult, NodeCore, ServiceError, ServiceOptions};
 pub use pressure::{PressureConfig, PressureCounters, PressureGauge, PressureState};
 pub use queue::{AdmissionConfig, AdmissionError, FrameQueue, QueueStats};
 pub use router::{serve_router, Router, RouterHandle, RouterOptions};

@@ -21,18 +21,23 @@
 //! out of whichever cache holds it.
 
 use crate::cache::{FrameCache, FrameKey};
-use crate::channel::ChannelRegistry;
+use crate::channel::{ChannelRegistry, ChannelTotals};
 use crate::client::ClientPool;
-use crate::pressure::{PressureConfig, PressureGauge, PressureState};
-use crate::queue::{AdmissionConfig, AdmissionError, FrameQueue};
+use crate::pressure::{PressureConfig, PressureCounters, PressureGauge, PressureState};
+use crate::queue::{AdmissionConfig, AdmissionError, FrameQueue, QueueStats};
 use crate::session::{
-    format_session_id, InFlightGuard, RegistryError, RenderError, Session, SessionRegistry,
-    SharedPools,
+    format_session_id, InFlightGuard, RegistryError, RegistryStats, RenderError, Session,
+    SessionRegistry, SharedPools,
 };
 use crate::spec::{FieldSpec, SessionSpec};
+use crate::stats::{
+    count, counter, gauge, latency_json, peak, per_node, state, write_histogram, write_metrics,
+    Stat, StatKind, StatsDoc,
+};
 use softpipe::sync::lock_recover;
-use softpipe::{FrameArena, PipePool};
+use softpipe::{FrameArena, PipePool, PoolStats};
 use spotnoise::json::Json;
+use spotnoise::metrics::CacheStats;
 use spotnoise::telemetry::{
     self, Histogram, HistogramSnapshot, TraceCtx, TraceSink, TraceStage, DEFAULT_TRACE_CAPACITY,
 };
@@ -83,8 +88,8 @@ pub struct ServiceOptions {
     /// graceful-degradation ladder.
     pub pressure: PressureConfig,
     /// The node's cluster identity, reported as the `X-Node-Id` response
-    /// header and in the `/stats` `node` block. `None` lets [`serve`]
-    /// (crate::serve) fill in the bound address once it is known.
+    /// header and in the `/stats` `node` block. `None` lets
+    /// [`serve`](crate::serve) fill in the bound address once it is known.
     pub node_id: Option<String>,
     /// Sibling nodes consulted on a local frame-cache miss before
     /// synthesizing (the peer frame-cache lookup). Empty disables probing.
@@ -184,14 +189,11 @@ pub(crate) struct FrameJob {
 }
 
 /// Monotonic service-wide counters (lock-free; written by workers and
-/// connection threads).
+/// connection threads). Each one is reported through its row in
+/// [`NODE_STATS`], which also says what it counts.
 #[derive(Default)]
 pub(crate) struct ServiceCounters {
     pub(crate) http_requests: AtomicU64,
-    frames_rendered: AtomicU64,
-    advect_us: AtomicU64,
-    synthesize_us: AtomicU64,
-    render_us: AtomicU64,
     pub(crate) streams_started: AtomicU64,
     pub(crate) frames_streamed: AtomicU64,
     pub(crate) streams_aborted: AtomicU64,
@@ -200,13 +202,9 @@ pub(crate) struct ServiceCounters {
     deadline_shed: AtomicU64,
     quarantined: AtomicU64,
     pub(crate) panics_caught: AtomicU64,
-    /// Local misses answered out of a sibling node's cache.
     peer_hits: AtomicU64,
-    /// Peer probes that found the frame cached nowhere.
     peer_misses: AtomicU64,
-    /// Peer probes that failed at the transport (dead or slow sibling).
     peer_errors: AtomicU64,
-    /// Cache entries this node served to a probing sibling.
     peer_serves: AtomicU64,
 }
 
@@ -218,47 +216,93 @@ pub(crate) fn revalidate_session(session: &mut Session) {
     session.quarantine();
 }
 
-/// The service's end-to-end telemetry: lock-free latency histograms over
-/// every hot path plus the frame-lifecycle trace sink. All histograms are
-/// in microseconds. Exposed on `/metrics` (Prometheus text), `/trace`
-/// (Chrome trace-event JSON) and folded into `/stats` as percentiles.
-pub struct ServiceTelemetry {
-    /// End-to-end [`NodeCore::fetch_frame`] latency, all outcomes (errors
-    /// included — a shed request's latency is part of the client story).
-    pub request_us: Arc<Histogram>,
-    /// Admission-to-pop wait in the frame queue.
-    pub queue_wait_us: Arc<Histogram>,
-    /// Per-frame particle-advection stage.
-    pub advect_us: Arc<Histogram>,
-    /// Per-frame texture-synthesis stage.
-    pub synthesize_us: Arc<Histogram>,
-    /// Per-frame render stage.
-    pub render_us: Arc<Histogram>,
-    /// Pipe-pool checkout wait (lock + reset-or-spawn).
-    pub checkout_us: Arc<Histogram>,
+/// A stage with a latency histogram: its trace stage (whose name keys its
+/// `/stats` `latency` block), its Prometheus family and help text (as a
+/// registry row carries them), and the `/stats` `frames` field that also
+/// reports the histogram's sum.
+struct StageStat {
+    stage: TraceStage,
+    metric: &'static str,
+    total: Option<&'static str>,
+}
+
+/// The timed stages, in `/stats` and `/metrics` order. The request stage
+/// counts every outcome: a shed request's latency is part of the client
+/// story.
+const STAGES: [StageStat; 6] = [
+    StageStat {
+        stage: TraceStage::Request,
+        metric: "spotnoise_request_duration_us End-to-end frame request latency (all outcomes)",
+        total: None,
+    },
+    StageStat {
+        stage: TraceStage::QueueWait,
+        metric: "spotnoise_queue_wait_us Admission-to-pop wait in the frame queue",
+        total: None,
+    },
+    StageStat {
+        stage: TraceStage::Advect,
+        metric: "spotnoise_stage_advect_us Per-frame particle-advection stage time",
+        total: Some("advect_us_total"),
+    },
+    StageStat {
+        stage: TraceStage::Synthesize,
+        metric: "spotnoise_stage_synthesize_us Per-frame texture-synthesis stage time",
+        total: Some("synthesize_us_total"),
+    },
+    StageStat {
+        stage: TraceStage::Render,
+        metric: "spotnoise_stage_render_us Per-frame render stage time",
+        total: Some("render_us_total"),
+    },
+    StageStat {
+        stage: TraceStage::PipeCheckout,
+        metric: "spotnoise_pipe_checkout_wait_us Pipe-pool checkout wait",
+        total: None,
+    },
+];
+
+/// The slot of `stage` in [`STAGES`]. Panics for a stage without a
+/// histogram.
+fn stage_slot(stage: TraceStage) -> usize {
+    STAGES
+        .iter()
+        .position(|s| s.stage == stage)
+        .unwrap_or_else(|| panic!("stage {} has no histogram", stage.name()))
+}
+
+/// The service's end-to-end telemetry: one lock-free latency histogram
+/// (microseconds) per timed stage, indexed by [`TraceStage`], plus the
+/// frame-lifecycle trace sink. Exposed on `/metrics` (Prometheus text),
+/// `/trace` (Chrome trace-event JSON) and folded into `/stats` as
+/// percentiles.
+#[derive(Clone)]
+struct ServiceTelemetry {
+    histograms: [Arc<Histogram>; STAGES.len()],
     /// The frame-lifecycle trace sink; mode comes from `SPOTNOISE_TRACE`
     /// (`off` by default).
-    pub trace: TraceSink,
+    trace: TraceSink,
 }
 
 impl ServiceTelemetry {
     fn new() -> Self {
         ServiceTelemetry {
-            request_us: Arc::new(Histogram::new()),
-            queue_wait_us: Arc::new(Histogram::new()),
-            advect_us: Arc::new(Histogram::new()),
-            synthesize_us: Arc::new(Histogram::new()),
-            render_us: Arc::new(Histogram::new()),
-            checkout_us: Arc::new(Histogram::new()),
+            histograms: std::array::from_fn(|_| Arc::new(Histogram::new())),
             trace: TraceSink::from_env(DEFAULT_TRACE_CAPACITY),
         }
     }
-}
 
-/// One sibling node the core probes on a cache miss.
-struct Peer {
-    addr: SocketAddr,
-    pool: ClientPool,
+    /// The latency histogram of `stage`. Panics for a stage without one.
+    fn histogram(&self, stage: TraceStage) -> &Arc<Histogram> {
+        &self.histograms[stage_slot(stage)]
+    }
+
+    /// Records one run of a timed stage: into its histogram, and as a span
+    /// when tracing is on.
+    fn record(&self, stage: TraceStage, ctx: TraceCtx, start: Instant, dur: Duration, detail: u64) {
+        self.histogram(stage).record_duration(dur);
+        self.trace.record_with(stage, ctx, start, dur, detail);
+    }
 }
 
 /// The transport-free state and logic of one synthesis node.
@@ -278,13 +322,13 @@ pub struct NodeCore {
     /// sessions (both size-keyed, so mixed frame sizes never collide).
     pub(crate) pools: SharedPools,
     pub(crate) counters: ServiceCounters,
-    pub(crate) telemetry: ServiceTelemetry,
+    telemetry: ServiceTelemetry,
     /// The load sensor behind the degradation ladder, re-evaluated (with
     /// its own throttle) on every frame request and `/healthz` probe.
     pub(crate) pressure: PressureGauge,
-    /// Sibling nodes probed on a cache miss, with one keep-alive connection
+    /// Sibling nodes probed on a cache miss: one keep-alive connection
     /// pool per peer.
-    peers: Vec<Peer>,
+    peers: Vec<ClientPool>,
     /// The node's cluster identity ([`ServiceOptions::node_id`], or the
     /// bound address once [`serve`](crate::serve) knows it).
     node_id: Mutex<String>,
@@ -309,14 +353,12 @@ impl NodeCore {
         // Bridge pool checkouts into the checkout histogram and the
         // trace ring (the raster crate cannot depend on telemetry, so
         // the pool exposes a plain observer hook instead).
-        let checkout_us = Arc::clone(&service_telemetry.checkout_us);
-        let trace = service_telemetry.trace.clone();
+        let observer = service_telemetry.clone();
         pipes.set_observer(Some(Arc::new(move |reused, wait| {
-            checkout_us.record_duration(wait);
             let start = Instant::now()
                 .checked_sub(wait)
                 .unwrap_or_else(Instant::now);
-            trace.record_with(
+            observer.record(
                 TraceStage::PipeCheckout,
                 telemetry::ctx(),
                 start,
@@ -330,17 +372,18 @@ impl NodeCore {
             trace: service_telemetry.trace.clone(),
         };
         let queue = FrameQueue::new(options.admission);
-        queue.set_wait_histogram(Arc::clone(&service_telemetry.queue_wait_us));
+        queue.set_wait_histogram(Arc::clone(
+            service_telemetry.histogram(TraceStage::QueueWait),
+        ));
         let mut cache = FrameCache::new(options.cache_bytes);
         cache.set_trace_sink(service_telemetry.trace.clone());
         let peers = options
             .peers
             .iter()
-            .map(|&addr| Peer {
-                addr,
-                pool: ClientPool::new(addr)
+            .map(|&addr| {
+                ClientPool::new(addr)
                     .with_connect_timeout(options.peer_timeout)
-                    .with_read_timeout(Some(options.peer_timeout)),
+                    .with_read_timeout(Some(options.peer_timeout))
             })
             .collect();
         Arc::new(NodeCore {
@@ -372,18 +415,13 @@ impl NodeCore {
         lock_recover(&self.node_id, |_| {}).clone()
     }
 
-    /// Fills in the node identity if none was configured ([`serve`]
-    /// (crate::serve) passes the bound address).
+    /// Fills in the node identity if none was configured
+    /// ([`serve`](crate::serve) passes the bound address).
     pub fn set_default_node_id(&self, id: &str) {
         let mut node_id = lock_recover(&self.node_id, |_| {});
         if node_id.is_empty() {
             *node_id = id.to_string();
         }
-    }
-
-    /// The service's latency histograms and trace sink.
-    pub fn telemetry(&self) -> &ServiceTelemetry {
-        &self.telemetry
     }
 
     /// The service-wide pools every session's pipeline composes on.
@@ -493,7 +531,7 @@ impl NodeCore {
         let state = self.pressure.evaluate(
             depth,
             self.options.admission.watermark,
-            &self.telemetry.queue_wait_us,
+            self.telemetry.histogram(TraceStage::QueueWait),
         );
         let desired = if state == PressureState::Healthy {
             self.options.channel_lookahead
@@ -551,7 +589,7 @@ impl NodeCore {
     /// peer costs at most [`ServiceOptions::peer_timeout`]).
     fn peer_lookup(&self, key: FrameKey) -> Option<Arc<Vec<u8>>> {
         for peer in &self.peers {
-            let mut client = match peer.pool.checkout() {
+            let mut client = match peer.checkout() {
                 Ok(client) => client,
                 Err(_) => {
                     self.counters.peer_errors.fetch_add(1, Ordering::Relaxed);
@@ -580,7 +618,6 @@ impl NodeCore {
                     self.counters.peer_errors.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            let _ = peer.addr; // identity kept for /stats
         }
         None
     }
@@ -608,7 +645,6 @@ impl NodeCore {
         let start = Instant::now();
         let outcome = self.fetch_frame_inner(id, frame, deadline_ms, start);
         let elapsed = start.elapsed();
-        self.telemetry.request_us.record_duration(elapsed);
         if let Ok(result) = &outcome {
             if result.stale {
                 self.counters.stale_serves.fetch_add(1, Ordering::Relaxed);
@@ -620,7 +656,7 @@ impl NodeCore {
             }
         }
         // detail = 1 marks a failed request.
-        self.telemetry.trace.record_with(
+        self.telemetry.record(
             TraceStage::Request,
             TraceCtx { actor: id, frame },
             start,
@@ -926,21 +962,13 @@ impl NodeCore {
                 job.frame,
                 self.options.max_advances_per_request,
                 |frame_key, bytes, timings| {
-                    self.counters
-                        .frames_rendered
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.counters
-                        .advect_us
-                        .fetch_add(timings.advect_us, Ordering::Relaxed);
-                    self.counters
-                        .synthesize_us
-                        .fetch_add(timings.synthesize_us, Ordering::Relaxed);
-                    self.counters
-                        .render_us
-                        .fetch_add(timings.render_us, Ordering::Relaxed);
-                    self.telemetry.advect_us.record(timings.advect_us);
-                    self.telemetry.synthesize_us.record(timings.synthesize_us);
-                    self.telemetry.render_us.record(timings.render_us);
+                    // These histograms also carry the `/stats` frame count
+                    // and stage totals.
+                    let t = &self.telemetry;
+                    t.histogram(TraceStage::Advect).record(timings.advect_us);
+                    t.histogram(TraceStage::Synthesize)
+                        .record(timings.synthesize_us);
+                    t.histogram(TraceStage::Render).record(timings.render_us);
                     // Frames below the requested index were rendered on the way
                     // there: count them as look-ahead insertions so /stats shows
                     // how much future-serving work the request banked.
@@ -981,72 +1009,33 @@ impl NodeCore {
         }
     }
 
-    /// One percentile block of the `/stats` latency section.
-    fn latency_json(histogram: &Histogram) -> Json {
-        let snap = histogram.snapshot();
-        Json::object([
-            ("count", Json::num(snap.count as f64)),
-            ("mean_us", Json::num(snap.mean())),
-            ("p50_us", Json::num(snap.percentile(50.0) as f64)),
-            ("p90_us", Json::num(snap.percentile(90.0) as f64)),
-            ("p99_us", Json::num(snap.percentile(99.0) as f64)),
-            ("max_us", Json::num(snap.max as f64)),
-        ])
-    }
-
-    /// The `/stats` document. Every subsystem is snapshotted exactly once
+    /// The `/stats` document: every registry row and stage histogram over
+    /// one snapshot of the node, plus its identity, its session ids and
+    /// per-session detail. Every subsystem is snapshotted exactly once
     /// (one lock or atomic load per counter), so each block is internally
-    /// consistent — no torn multi-counter reads within a subsystem.
-    ///
-    /// When the router aggregates these documents across nodes, the
-    /// sum-vs-max-vs-skip decision per field comes from
-    /// [`cluster::stats_aggregation`](crate::cluster::stats_aggregation) —
-    /// new numeric fields added here should be classified there.
+    /// consistent — no torn multi-counter reads within a subsystem. The
+    /// router's cluster rollup sums, maxes or skips each field by its
+    /// row's kind.
     pub fn stats_json(&self) -> Json {
-        let registry = lock_recover(&self.registry, |_| {});
-        let reg = registry.stats();
-        let session_ids = registry.ids();
-        let handles: Vec<(u64, Arc<Mutex<Session>>)> = session_ids
+        let view = NodeView::new(self);
+        let mut doc = StatsDoc::default();
+        doc.put("", "schema", Json::str("spotnoise_service_stats/v1"));
+        doc.put("node", "id", Json::str(self.node_id()));
+        doc.put_rows(NODE_STATS, |read| read(&view));
+        let ids = view
+            .sessions
             .iter()
-            .filter_map(|&id| registry.get(id).map(|handle| (id, handle)))
-            .collect();
-        drop(registry);
-        let cache = lock_recover(&self.cache, FrameCache::revalidate);
-        let (cache_len, cache_bytes, cache_cap, cache_stats) = (
-            cache.len(),
-            cache.bytes(),
-            cache.capacity_bytes(),
-            cache.stats(),
-        );
-        drop(cache);
-        let channel_totals = lock_recover(&self.channels, |_| {}).totals();
-        let q = self.queue.stats();
-        let pressure_counters = self.pressure.counters();
-        // One load per counter, gathered up front: later JSON building never
-        // re-reads a counter it already reported.
-        let frames = self.counters.frames_rendered.load(Ordering::Relaxed);
-        let advect_us = self.counters.advect_us.load(Ordering::Relaxed);
-        let synthesize_us = self.counters.synthesize_us.load(Ordering::Relaxed);
-        let render_us = self.counters.render_us.load(Ordering::Relaxed);
-        let http_requests = self.counters.http_requests.load(Ordering::Relaxed);
-        let streams_started = self.counters.streams_started.load(Ordering::Relaxed);
-        let frames_streamed = self.counters.frames_streamed.load(Ordering::Relaxed);
-        let streams_aborted = self.counters.streams_aborted.load(Ordering::Relaxed);
-        let stale_serves = self.counters.stale_serves.load(Ordering::Relaxed);
-        let degraded_serves = self.counters.degraded_serves.load(Ordering::Relaxed);
-        let deadline_shed = self.counters.deadline_shed.load(Ordering::Relaxed);
-        let quarantined = self.counters.quarantined.load(Ordering::Relaxed);
-        let panics_caught = self.counters.panics_caught.load(Ordering::Relaxed);
-        let peer_hits = self.counters.peer_hits.load(Ordering::Relaxed);
-        let peer_misses = self.counters.peer_misses.load(Ordering::Relaxed);
-        let peer_errors = self.counters.peer_errors.load(Ordering::Relaxed);
-        let peer_serves = self.counters.peer_serves.load(Ordering::Relaxed);
-        let mean_synthesize_us = if frames > 0 {
-            synthesize_us as f64 / frames as f64
-        } else {
-            0.0
-        };
-        let per_session: Vec<Json> = handles
+            .map(|(id, _)| Json::str(format_session_id(*id)));
+        doc.put("sessions", "ids", Json::array(ids));
+        doc.put("pipes", "pooled", Json::Bool(self.pools.pipes.is_some()));
+        for (stage, snap) in STAGES.iter().zip(&view.stages) {
+            if let Some(total) = stage.total {
+                doc.put("frames", total, Json::num(snap.sum as f64));
+            }
+            doc.put("latency", stage.stage.name(), latency_json(snap));
+        }
+        let per_session = view
+            .sessions
             .iter()
             .map(|(id, handle)| match handle.try_lock() {
                 Ok(s) => {
@@ -1069,571 +1058,26 @@ impl NodeCore {
                         ),
                     ])
                 }
-                // A session mid-render holds its lock; report it busy
-                // rather than stalling /stats behind synthesis.
+                // A session mid-render holds its lock; report it busy rather
+                // than stalling /stats behind synthesis.
                 Err(_) => Json::object([
                     ("session", Json::str(format_session_id(*id))),
                     ("busy", Json::Bool(true)),
                 ]),
-            })
-            .collect();
-        Json::object([
-            ("schema", Json::str("spotnoise_service_stats/v1")),
-            (
-                "uptime_seconds",
-                Json::num(self.started.elapsed().as_secs_f64()),
-            ),
-            (
-                "node",
-                Json::object([
-                    ("id", Json::str(self.node_id())),
-                    ("peers", Json::num(self.peers.len() as f64)),
-                ]),
-            ),
-            (
-                "cluster",
-                Json::object([
-                    ("peer_hits", Json::num(peer_hits as f64)),
-                    ("peer_misses", Json::num(peer_misses as f64)),
-                    ("peer_errors", Json::num(peer_errors as f64)),
-                    ("peer_serves", Json::num(peer_serves as f64)),
-                ]),
-            ),
-            (
-                "sessions",
-                Json::object([
-                    ("live", Json::num(reg.live as f64)),
-                    ("created", Json::num(reg.created as f64)),
-                    ("evicted", Json::num(reg.evicted as f64)),
-                    ("closed", Json::num(reg.closed as f64)),
-                    ("quarantined", Json::num(quarantined as f64)),
-                    ("capacity", Json::num(self.options.max_sessions as f64)),
-                    (
-                        "ids",
-                        Json::array(
-                            session_ids
-                                .iter()
-                                .map(|&id| Json::str(format_session_id(id))),
-                        ),
-                    ),
-                ]),
-            ),
-            (
-                "frames",
-                Json::object([
-                    ("rendered", Json::num(frames as f64)),
-                    ("advect_us_total", Json::num(advect_us as f64)),
-                    ("synthesize_us_total", Json::num(synthesize_us as f64)),
-                    ("render_us_total", Json::num(render_us as f64)),
-                    ("mean_synthesize_us", Json::num(mean_synthesize_us)),
-                ]),
-            ),
-            (
-                "channels",
-                Json::object([
-                    ("live", Json::num(channel_totals.live as f64)),
-                    ("created", Json::num(channel_totals.created as f64)),
-                    ("subscribers", Json::num(channel_totals.subscribers as f64)),
-                    (
-                        "peak_subscribers",
-                        Json::num(channel_totals.peak_subscribers as f64),
-                    ),
-                    ("delivered", Json::num(channel_totals.delivered as f64)),
-                    ("synthesized", Json::num(channel_totals.synthesized as f64)),
-                    ("skips", Json::num(channel_totals.skips as f64)),
-                    (
-                        "delivery_ratio",
-                        Json::num(if channel_totals.synthesized > 0 {
-                            channel_totals.delivered as f64 / channel_totals.synthesized as f64
-                        } else {
-                            0.0
-                        }),
-                    ),
-                ]),
-            ),
-            (
-                "cache",
-                Json::object([
-                    ("entries", Json::num(cache_len as f64)),
-                    ("bytes", Json::num(cache_bytes as f64)),
-                    ("capacity_bytes", Json::num(cache_cap as f64)),
-                    ("hits", Json::num(cache_stats.hits as f64)),
-                    ("misses", Json::num(cache_stats.misses as f64)),
-                    ("insertions", Json::num(cache_stats.insertions as f64)),
-                    (
-                        "inserted_lookahead",
-                        Json::num(cache_stats.inserted_lookahead as f64),
-                    ),
-                    ("evictions", Json::num(cache_stats.evictions as f64)),
-                    ("hit_rate", Json::num(cache_stats.hit_rate())),
-                ]),
-            ),
-            (
-                "queue",
-                Json::object([
-                    ("depth", Json::num(q.depth as f64)),
-                    ("peak_depth", Json::num(q.peak_depth as f64)),
-                    (
-                        "watermark",
-                        Json::num(self.options.admission.watermark as f64),
-                    ),
-                    (
-                        "per_session_cap",
-                        Json::num(self.options.admission.per_session as f64),
-                    ),
-                    ("accepted", Json::num(q.accepted as f64)),
-                    ("shed_busy", Json::num(q.shed_busy as f64)),
-                    ("shed_session", Json::num(q.shed_session as f64)),
-                    ("completed", Json::num(q.completed as f64)),
-                ]),
-            ),
-            (
-                "pressure",
-                Json::object([
-                    ("state", Json::str(self.pressure.state().name())),
-                    (
-                        "entered_elevated",
-                        Json::num(pressure_counters.entered_elevated as f64),
-                    ),
-                    (
-                        "entered_saturated",
-                        Json::num(pressure_counters.entered_saturated as f64),
-                    ),
-                    ("recovered", Json::num(pressure_counters.recovered as f64)),
-                    ("stale_serves", Json::num(stale_serves as f64)),
-                    ("degraded_serves", Json::num(degraded_serves as f64)),
-                    ("deadline_shed", Json::num(deadline_shed as f64)),
-                ]),
-            ),
-            (
-                "faults",
-                Json::object([
-                    ("panics_caught", Json::num(panics_caught as f64)),
-                    (
-                        "lock_recoveries",
-                        Json::num(softpipe::sync::recoveries() as f64),
-                    ),
-                    (
-                        "injected_panics",
-                        Json::num(softpipe::fault::injected_panics() as f64),
-                    ),
-                    (
-                        "injected_delays",
-                        Json::num(softpipe::fault::injected_delays() as f64),
-                    ),
-                ]),
-            ),
-            (
-                "pipes",
-                match &self.pools.pipes {
-                    Some(pool) => {
-                        let p = pool.stats();
-                        Json::object([
-                            ("pooled", Json::Bool(true)),
-                            ("spawned", Json::num(p.spawned as f64)),
-                            ("reused", Json::num(p.reused as f64)),
-                            ("retired", Json::num(p.retired as f64)),
-                            ("discarded", Json::num(p.discarded as f64)),
-                            ("idle", Json::num(p.idle as f64)),
-                        ])
-                    }
-                    None => Json::object([("pooled", Json::Bool(false))]),
-                },
-            ),
-            (
-                "http",
-                Json::object([
-                    ("requests", Json::num(http_requests as f64)),
-                    ("streams", Json::num(streams_started as f64)),
-                    ("streamed_frames", Json::num(frames_streamed as f64)),
-                    ("streams_aborted", Json::num(streams_aborted as f64)),
-                ]),
-            ),
-            (
-                "latency",
-                Json::object([
-                    ("request", Self::latency_json(&self.telemetry.request_us)),
-                    (
-                        "queue_wait",
-                        Self::latency_json(&self.telemetry.queue_wait_us),
-                    ),
-                    ("advect", Self::latency_json(&self.telemetry.advect_us)),
-                    (
-                        "synthesize",
-                        Self::latency_json(&self.telemetry.synthesize_us),
-                    ),
-                    ("render", Self::latency_json(&self.telemetry.render_us)),
-                    (
-                        "pipe_checkout",
-                        Self::latency_json(&self.telemetry.checkout_us),
-                    ),
-                ]),
-            ),
-            ("per_session", Json::array(per_session)),
-        ])
+            });
+        doc.put("", "per_session", Json::array(per_session));
+        doc.into_json()
     }
 
-    /// The `/metrics` document: Prometheus text exposition of the latency
-    /// histograms and every service counter.
+    /// The `/metrics` document: Prometheus text exposition of the stage
+    /// histograms and every counter, gauge and peak of the registry.
     pub fn metrics_text(&self) -> String {
+        let view = NodeView::new(self);
         let mut out = String::with_capacity(8192);
-        let histograms: [(&str, &str, &Arc<Histogram>); 6] = [
-            (
-                "spotnoise_request_duration_us",
-                "End-to-end frame request latency (all outcomes)",
-                &self.telemetry.request_us,
-            ),
-            (
-                "spotnoise_queue_wait_us",
-                "Admission-to-pop wait in the frame queue",
-                &self.telemetry.queue_wait_us,
-            ),
-            (
-                "spotnoise_stage_advect_us",
-                "Per-frame particle-advection stage time",
-                &self.telemetry.advect_us,
-            ),
-            (
-                "spotnoise_stage_synthesize_us",
-                "Per-frame texture-synthesis stage time",
-                &self.telemetry.synthesize_us,
-            ),
-            (
-                "spotnoise_stage_render_us",
-                "Per-frame render stage time",
-                &self.telemetry.render_us,
-            ),
-            (
-                "spotnoise_pipe_checkout_wait_us",
-                "Pipe-pool checkout wait",
-                &self.telemetry.checkout_us,
-            ),
-        ];
-        for (name, help, histogram) in histograms {
-            write_prometheus_histogram(&mut out, name, help, &histogram.snapshot());
+        for (stage, snap) in STAGES.iter().zip(&view.stages) {
+            write_histogram(&mut out, stage.metric, snap);
         }
-        let reg = lock_recover(&self.registry, |_| {}).stats();
-        let cache = lock_recover(&self.cache, FrameCache::revalidate);
-        let (cache_len, cache_bytes, cache_stats) = (cache.len(), cache.bytes(), cache.stats());
-        drop(cache);
-        let channels = lock_recover(&self.channels, |_| {}).totals();
-        let q = self.queue.stats();
-        let pressure = self.pressure.counters();
-        let c = &self.counters;
-        let singles: [(&str, &str, &str, f64); 45] = [
-            // (name, type, help, value)
-            (
-                "spotnoise_http_requests_total",
-                "counter",
-                "HTTP requests handled",
-                c.http_requests.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "spotnoise_frames_rendered_total",
-                "counter",
-                "Frames synthesized",
-                c.frames_rendered.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "spotnoise_streams_started_total",
-                "counter",
-                "Frame streams started",
-                c.streams_started.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "spotnoise_frames_streamed_total",
-                "counter",
-                "Frames pushed over streams",
-                c.frames_streamed.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "spotnoise_sessions_live",
-                "gauge",
-                "Sessions currently live",
-                reg.live as f64,
-            ),
-            (
-                "spotnoise_sessions_created_total",
-                "counter",
-                "Sessions ever created",
-                reg.created as f64,
-            ),
-            (
-                "spotnoise_sessions_evicted_total",
-                "counter",
-                "Sessions removed by idle eviction",
-                reg.evicted as f64,
-            ),
-            (
-                "spotnoise_sessions_closed_total",
-                "counter",
-                "Sessions closed by clients",
-                reg.closed as f64,
-            ),
-            (
-                "spotnoise_cache_entries",
-                "gauge",
-                "Cached frames",
-                cache_len as f64,
-            ),
-            (
-                "spotnoise_cache_bytes",
-                "gauge",
-                "Bytes held by the frame cache",
-                cache_bytes as f64,
-            ),
-            (
-                "spotnoise_cache_hits_total",
-                "counter",
-                "Cache hits",
-                cache_stats.hits as f64,
-            ),
-            (
-                "spotnoise_cache_misses_total",
-                "counter",
-                "Cache misses",
-                cache_stats.misses as f64,
-            ),
-            (
-                "spotnoise_cache_insertions_total",
-                "counter",
-                "Cache insertions",
-                cache_stats.insertions as f64,
-            ),
-            (
-                "spotnoise_cache_inserted_lookahead_total",
-                "counter",
-                "Look-ahead cache insertions",
-                cache_stats.inserted_lookahead as f64,
-            ),
-            (
-                "spotnoise_cache_evictions_total",
-                "counter",
-                "Cache LRU evictions",
-                cache_stats.evictions as f64,
-            ),
-            (
-                "spotnoise_peer_cache_hits_total",
-                "counter",
-                "Local misses served out of a sibling node's cache",
-                c.peer_hits.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "spotnoise_peer_cache_misses_total",
-                "counter",
-                "Peer probes that found the frame cached nowhere",
-                c.peer_misses.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "spotnoise_peer_cache_errors_total",
-                "counter",
-                "Peer probes that failed at the transport",
-                c.peer_errors.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "spotnoise_peer_cache_serves_total",
-                "counter",
-                "Cache entries served to probing sibling nodes",
-                c.peer_serves.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "spotnoise_queue_depth",
-                "gauge",
-                "Jobs waiting in the frame queue",
-                q.depth as f64,
-            ),
-            (
-                "spotnoise_queue_peak_depth",
-                "gauge",
-                "Highest queue depth observed",
-                q.peak_depth as f64,
-            ),
-            (
-                "spotnoise_queue_accepted_total",
-                "counter",
-                "Jobs admitted",
-                q.accepted as f64,
-            ),
-            (
-                "spotnoise_queue_shed_busy_total",
-                "counter",
-                "Submissions shed at the watermark",
-                q.shed_busy as f64,
-            ),
-            (
-                "spotnoise_queue_shed_session_total",
-                "counter",
-                "Submissions shed at the per-session cap",
-                q.shed_session as f64,
-            ),
-            (
-                "spotnoise_queue_completed_total",
-                "counter",
-                "Jobs fully executed",
-                q.completed as f64,
-            ),
-            (
-                "spotnoise_channels_live",
-                "gauge",
-                "Broadcast channels live",
-                channels.live as f64,
-            ),
-            (
-                "spotnoise_channels_subscribers",
-                "gauge",
-                "Subscribers across live channels",
-                channels.subscribers as f64,
-            ),
-            (
-                "spotnoise_channels_delivered_total",
-                "counter",
-                "Frames delivered to channel subscribers",
-                channels.delivered as f64,
-            ),
-            (
-                "spotnoise_channels_synthesized_total",
-                "counter",
-                "Frames synthesized on channel clocks",
-                channels.synthesized as f64,
-            ),
-            (
-                "spotnoise_channels_skips_total",
-                "counter",
-                "Fallen-behind serves skipped to the frontier",
-                channels.skips as f64,
-            ),
-            (
-                "spotnoise_streams_aborted_total",
-                "counter",
-                "Streams cut short by a client disconnect mid-write",
-                c.streams_aborted.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "spotnoise_pressure_state",
-                "gauge",
-                "Pressure ladder state (0 healthy, 1 elevated, 2 saturated)",
-                self.pressure.state() as u8 as f64,
-            ),
-            (
-                "spotnoise_pressure_entered_elevated_total",
-                "counter",
-                "Transitions into the elevated pressure state",
-                pressure.entered_elevated as f64,
-            ),
-            (
-                "spotnoise_pressure_entered_saturated_total",
-                "counter",
-                "Transitions into the saturated pressure state",
-                pressure.entered_saturated as f64,
-            ),
-            (
-                "spotnoise_pressure_recovered_total",
-                "counter",
-                "Pressure de-escalations back down the ladder",
-                pressure.recovered as f64,
-            ),
-            (
-                "spotnoise_stale_serves_total",
-                "counter",
-                "Saturated serves answered with the cached channel frontier",
-                c.stale_serves.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "spotnoise_degraded_serves_total",
-                "counter",
-                "Frames served under pressure-degraded footprint sampling",
-                c.degraded_serves.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "spotnoise_deadline_shed_total",
-                "counter",
-                "Requests shed or dropped for missing their deadline",
-                c.deadline_shed.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "spotnoise_sessions_quarantined_total",
-                "counter",
-                "Sessions quarantined after a panicked render",
-                c.quarantined.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "spotnoise_panics_caught_total",
-                "counter",
-                "Panics contained by the service's unwind barriers",
-                c.panics_caught.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "spotnoise_lock_recoveries_total",
-                "counter",
-                "Poisoned locks recovered and revalidated",
-                softpipe::sync::recoveries() as f64,
-            ),
-            (
-                "spotnoise_fault_injected_panics_total",
-                "counter",
-                "Panics injected by the fault plan",
-                softpipe::fault::injected_panics() as f64,
-            ),
-            (
-                "spotnoise_fault_injected_delays_total",
-                "counter",
-                "Delays injected by the fault plan",
-                softpipe::fault::injected_delays() as f64,
-            ),
-            (
-                "spotnoise_uptime_seconds",
-                "gauge",
-                "Seconds since service start",
-                self.started.elapsed().as_secs_f64(),
-            ),
-            (
-                "spotnoise_trace_recorded_total",
-                "counter",
-                "Trace spans recorded",
-                self.telemetry.trace.recorded() as f64,
-            ),
-        ];
-        for (name, kind, help, value) in singles {
-            write_prometheus_single(&mut out, name, kind, help, value);
-        }
-        if let Some(pool) = &self.pools.pipes {
-            let p = pool.stats();
-            let pool_metrics: [(&str, &str, &str, f64); 5] = [
-                (
-                    "spotnoise_pipes_spawned_total",
-                    "counter",
-                    "Pipe workers spawned",
-                    p.spawned as f64,
-                ),
-                (
-                    "spotnoise_pipes_reused_total",
-                    "counter",
-                    "Checkouts served by a shelved worker",
-                    p.reused as f64,
-                ),
-                (
-                    "spotnoise_pipes_retired_total",
-                    "counter",
-                    "Returned pipes dropped at capacity",
-                    p.retired as f64,
-                ),
-                (
-                    "spotnoise_pipes_discarded_total",
-                    "counter",
-                    "Poisoned pipes discarded instead of reshelved",
-                    p.discarded as f64,
-                ),
-                (
-                    "spotnoise_pipes_idle",
-                    "gauge",
-                    "Idle pipes currently shelved",
-                    p.idle as f64,
-                ),
-            ];
-            for (name, kind, help, value) in pool_metrics {
-                write_prometheus_single(&mut out, name, kind, help, value);
-            }
-        }
+        write_metrics(&mut out, NODE_STATS, |read| read(&view));
         out
     }
 
@@ -1674,45 +1118,373 @@ impl NodeCore {
     }
 }
 
-/// Appends one histogram in Prometheus text exposition format: cumulative
-/// `_bucket{le=...}` lines (ending at `+Inf`), `_sum` and `_count`, plus
-/// pre-computed `_p50`/`_p90`/`_p99` gauges so scrapers that do not compute
-/// `histogram_quantile` still get the headline percentiles.
-fn write_prometheus_histogram(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    snapshot: &HistogramSnapshot,
-) {
-    use std::fmt::Write as _;
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} histogram");
-    for (le, cumulative) in snapshot.cumulative_buckets() {
-        let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
+/// One read of every subsystem a `/stats` or `/metrics` document reports:
+/// each lock is taken once, so the values of one subsystem are mutually
+/// consistent. Counters are single atomics, read by their rows.
+struct NodeView<'a> {
+    core: &'a NodeCore,
+    registry: RegistryStats,
+    /// The live sessions, by id.
+    sessions: Vec<(u64, Arc<Mutex<Session>>)>,
+    cache_entries: usize,
+    cache_bytes: usize,
+    cache_capacity: usize,
+    cache: CacheStats,
+    channels: ChannelTotals,
+    queue: QueueStats,
+    pressure: PressureCounters,
+    pipes: PoolStats,
+    /// One snapshot per stage histogram, in [`STAGES`] order.
+    stages: [HistogramSnapshot; STAGES.len()],
+}
+
+impl<'a> NodeView<'a> {
+    fn new(core: &'a NodeCore) -> Self {
+        let registry = lock_recover(&core.registry, |_| {});
+        let sessions = registry
+            .ids()
+            .into_iter()
+            .filter_map(|id| registry.get(id).map(|handle| (id, handle)))
+            .collect();
+        let registry_stats = registry.stats();
+        drop(registry);
+        let cache = lock_recover(&core.cache, FrameCache::revalidate);
+        let (cache_entries, cache_bytes, cache_capacity, cache_stats) = (
+            cache.len(),
+            cache.bytes(),
+            cache.capacity_bytes(),
+            cache.stats(),
+        );
+        drop(cache);
+        NodeView {
+            core,
+            registry: registry_stats,
+            sessions,
+            cache_entries,
+            cache_bytes,
+            cache_capacity,
+            cache: cache_stats,
+            channels: lock_recover(&core.channels, |_| {}).totals(),
+            queue: core.queue.stats(),
+            pressure: core.pressure.counters(),
+            pipes: core
+                .pools
+                .pipes
+                .as_ref()
+                .map(|p| p.stats())
+                .unwrap_or_default(),
+            stages: core.telemetry.histograms.each_ref().map(|h| h.snapshot()),
+        }
     }
-    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", snapshot.count);
-    let _ = writeln!(out, "{name}_sum {}", snapshot.sum);
-    let _ = writeln!(out, "{name}_count {}", snapshot.count);
-    for (suffix, q) in [("p50", 50.0), ("p90", 90.0), ("p99", 99.0)] {
-        let _ = writeln!(out, "# TYPE {name}_{suffix} gauge");
-        let _ = writeln!(out, "{name}_{suffix} {}", snapshot.percentile(q));
+
+    fn stage(&self, stage: TraceStage) -> &HistogramSnapshot {
+        &self.stages[stage_slot(stage)]
     }
 }
 
-/// Appends one counter or gauge in Prometheus text exposition format.
-pub(crate) fn write_prometheus_single(
-    out: &mut String,
-    name: &str,
-    kind: &str,
-    help: &str,
-    value: f64,
-) {
-    use std::fmt::Write as _;
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
-    if value.fract() == 0.0 && value.abs() < 9.0e15 {
-        let _ = writeln!(out, "{name} {}", value as i64);
-    } else {
-        let _ = writeln!(out, "{name} {value}");
+type NodeRead = fn(&NodeView<'_>) -> f64;
+
+/// Every counter, gauge, peak and ratio a node reports, one row each (see
+/// [`crate::stats`]). `/stats`, `/metrics` and the cluster rollup are
+/// generated from these rows and [`STAGES`].
+static NODE_STATS: &[Stat<NodeRead>] = &[
+    peak(
+        "uptime_seconds",
+        "spotnoise_uptime_seconds Seconds since service start",
+        |v| v.core.started.elapsed().as_secs_f64(),
+    ),
+    per_node("node.peers", |v| v.core.peers.len() as f64),
+    counter(
+        "cluster.peer_hits",
+        "spotnoise_peer_cache_hits_total Local misses served out of a sibling node's cache",
+        |v| count(&v.core.counters.peer_hits),
+    ),
+    counter(
+        "cluster.peer_misses",
+        "spotnoise_peer_cache_misses_total Peer probes that found the frame cached nowhere",
+        |v| count(&v.core.counters.peer_misses),
+    ),
+    counter(
+        "cluster.peer_errors",
+        "spotnoise_peer_cache_errors_total Peer probes that failed at the transport",
+        |v| count(&v.core.counters.peer_errors),
+    ),
+    counter(
+        "cluster.peer_serves",
+        "spotnoise_peer_cache_serves_total Cache entries served to probing sibling nodes",
+        |v| count(&v.core.counters.peer_serves),
+    ),
+    gauge(
+        "sessions.live",
+        "spotnoise_sessions_live Sessions currently live",
+        |v| v.registry.live as f64,
+    ),
+    counter(
+        "sessions.created",
+        "spotnoise_sessions_created_total Sessions ever created",
+        |v| v.registry.created as f64,
+    ),
+    counter(
+        "sessions.evicted",
+        "spotnoise_sessions_evicted_total Sessions removed by idle eviction",
+        |v| v.registry.evicted as f64,
+    ),
+    counter(
+        "sessions.closed",
+        "spotnoise_sessions_closed_total Sessions closed by clients",
+        |v| v.registry.closed as f64,
+    ),
+    counter(
+        "sessions.quarantined",
+        "spotnoise_sessions_quarantined_total Sessions quarantined after a panicked render",
+        |v| count(&v.core.counters.quarantined),
+    ),
+    gauge(
+        "sessions.capacity",
+        "spotnoise_sessions_capacity Maximum live sessions",
+        |v| v.core.options.max_sessions as f64,
+    ),
+    counter(
+        "frames.rendered",
+        "spotnoise_frames_rendered_total Frames synthesized",
+        |v| v.stage(TraceStage::Synthesize).count as f64,
+    ),
+    per_node("frames.mean_synthesize_us", |v| {
+        v.stage(TraceStage::Synthesize).mean()
+    }),
+    gauge(
+        "channels.live",
+        "spotnoise_channels_live Broadcast channels live",
+        |v| v.channels.live as f64,
+    ),
+    counter(
+        "channels.created",
+        "spotnoise_channels_created_total Broadcast channels ever created",
+        |v| v.channels.created as f64,
+    ),
+    gauge(
+        "channels.subscribers",
+        "spotnoise_channels_subscribers Subscribers across live channels",
+        |v| v.channels.subscribers as f64,
+    ),
+    peak(
+        "channels.peak_subscribers",
+        "spotnoise_channels_peak_subscribers Highest subscriber count any single channel reached",
+        |v| v.channels.peak_subscribers as f64,
+    ),
+    counter(
+        "channels.delivered",
+        "spotnoise_channels_delivered_total Frames delivered to channel subscribers",
+        |v| v.channels.delivered as f64,
+    ),
+    counter(
+        "channels.synthesized",
+        "spotnoise_channels_synthesized_total Frames synthesized on channel clocks",
+        |v| v.channels.synthesized as f64,
+    ),
+    counter(
+        "channels.skips",
+        "spotnoise_channels_skips_total Fallen-behind serves skipped to the frontier",
+        |v| v.channels.skips as f64,
+    ),
+    per_node("channels.delivery_ratio", |v| {
+        match v.channels.synthesized {
+            0 => 0.0,
+            synthesized => v.channels.delivered as f64 / synthesized as f64,
+        }
+    }),
+    gauge(
+        "cache.entries",
+        "spotnoise_cache_entries Cached frames",
+        |v| v.cache_entries as f64,
+    ),
+    gauge(
+        "cache.bytes",
+        "spotnoise_cache_bytes Bytes held by the frame cache",
+        |v| v.cache_bytes as f64,
+    ),
+    gauge(
+        "cache.capacity_bytes",
+        "spotnoise_cache_capacity_bytes Byte budget of the frame cache",
+        |v| v.cache_capacity as f64,
+    ),
+    counter("cache.hits", "spotnoise_cache_hits_total Cache hits", |v| {
+        v.cache.hits as f64
+    }),
+    counter(
+        "cache.misses",
+        "spotnoise_cache_misses_total Cache misses",
+        |v| v.cache.misses as f64,
+    ),
+    counter(
+        "cache.insertions",
+        "spotnoise_cache_insertions_total Cache insertions",
+        |v| v.cache.insertions as f64,
+    ),
+    counter(
+        "cache.inserted_lookahead",
+        "spotnoise_cache_inserted_lookahead_total Look-ahead cache insertions",
+        |v| v.cache.inserted_lookahead as f64,
+    ),
+    counter(
+        "cache.evictions",
+        "spotnoise_cache_evictions_total Cache LRU evictions",
+        |v| v.cache.evictions as f64,
+    ),
+    per_node("cache.hit_rate", |v| v.cache.hit_rate()),
+    gauge(
+        "queue.depth",
+        "spotnoise_queue_depth Jobs waiting in the frame queue",
+        |v| v.queue.depth as f64,
+    ),
+    peak(
+        "queue.peak_depth",
+        "spotnoise_queue_peak_depth Highest queue depth observed",
+        |v| v.queue.peak_depth as f64,
+    ),
+    per_node("queue.watermark", |v| {
+        v.core.options.admission.watermark as f64
+    }),
+    per_node("queue.per_session_cap", |v| {
+        v.core.options.admission.per_session as f64
+    }),
+    counter(
+        "queue.accepted",
+        "spotnoise_queue_accepted_total Jobs admitted",
+        |v| v.queue.accepted as f64,
+    ),
+    counter(
+        "queue.shed_busy",
+        "spotnoise_queue_shed_busy_total Submissions shed at the watermark",
+        |v| v.queue.shed_busy as f64,
+    ),
+    counter(
+        "queue.shed_session",
+        "spotnoise_queue_shed_session_total Submissions shed at the per-session cap",
+        |v| v.queue.shed_session as f64,
+    ),
+    counter(
+        "queue.completed",
+        "spotnoise_queue_completed_total Jobs fully executed",
+        |v| v.queue.completed as f64,
+    ),
+    state(
+        "pressure.state",
+        "spotnoise_pressure_state Pressure ladder state (0 healthy, 1 elevated, 2 saturated)",
+        &PressureState::NAMES,
+        |v| v.core.pressure.state() as u8 as f64,
+    ),
+    counter(
+        "pressure.entered_elevated",
+        "spotnoise_pressure_entered_elevated_total Transitions into the elevated pressure state",
+        |v| v.pressure.entered_elevated as f64,
+    ),
+    counter(
+        "pressure.entered_saturated",
+        "spotnoise_pressure_entered_saturated_total Transitions into the saturated pressure state",
+        |v| v.pressure.entered_saturated as f64,
+    ),
+    counter(
+        "pressure.recovered",
+        "spotnoise_pressure_recovered_total Pressure de-escalations back down the ladder",
+        |v| v.pressure.recovered as f64,
+    ),
+    counter(
+        "pressure.stale_serves",
+        "spotnoise_stale_serves_total Saturated serves answered with the cached channel frontier",
+        |v| count(&v.core.counters.stale_serves),
+    ),
+    counter(
+        "pressure.degraded_serves",
+        "spotnoise_degraded_serves_total Frames served under pressure-degraded footprint sampling",
+        |v| count(&v.core.counters.degraded_serves),
+    ),
+    counter(
+        "pressure.deadline_shed",
+        "spotnoise_deadline_shed_total Requests shed or dropped for missing their deadline",
+        |v| count(&v.core.counters.deadline_shed),
+    ),
+    counter(
+        "faults.panics_caught",
+        "spotnoise_panics_caught_total Panics contained by the service's unwind barriers",
+        |v| count(&v.core.counters.panics_caught),
+    ),
+    counter(
+        "faults.lock_recoveries",
+        "spotnoise_lock_recoveries_total Poisoned locks recovered and revalidated",
+        |_| softpipe::sync::recoveries() as f64,
+    ),
+    counter(
+        "faults.injected_panics",
+        "spotnoise_fault_injected_panics_total Panics injected by the fault plan",
+        |_| softpipe::fault::injected_panics() as f64,
+    ),
+    counter(
+        "faults.injected_delays",
+        "spotnoise_fault_injected_delays_total Delays injected by the fault plan",
+        |_| softpipe::fault::injected_delays() as f64,
+    ),
+    counter(
+        "pipes.spawned",
+        "spotnoise_pipes_spawned_total Pipe workers spawned",
+        |v| v.pipes.spawned as f64,
+    ),
+    counter(
+        "pipes.reused",
+        "spotnoise_pipes_reused_total Checkouts served by a shelved worker",
+        |v| v.pipes.reused as f64,
+    ),
+    counter(
+        "pipes.retired",
+        "spotnoise_pipes_retired_total Returned pipes dropped at capacity",
+        |v| v.pipes.retired as f64,
+    ),
+    counter(
+        "pipes.discarded",
+        "spotnoise_pipes_discarded_total Poisoned pipes discarded instead of reshelved",
+        |v| v.pipes.discarded as f64,
+    ),
+    gauge(
+        "pipes.idle",
+        "spotnoise_pipes_idle Idle pipes currently shelved",
+        |v| v.pipes.idle as f64,
+    ),
+    counter(
+        "http.requests",
+        "spotnoise_http_requests_total HTTP requests handled",
+        |v| count(&v.core.counters.http_requests),
+    ),
+    counter(
+        "http.streams",
+        "spotnoise_streams_started_total Frame streams started",
+        |v| count(&v.core.counters.streams_started),
+    ),
+    counter(
+        "http.streamed_frames",
+        "spotnoise_frames_streamed_total Frames pushed over streams",
+        |v| count(&v.core.counters.frames_streamed),
+    ),
+    counter(
+        "http.streams_aborted",
+        "spotnoise_streams_aborted_total Streams cut short by a client disconnect mid-write",
+        |v| count(&v.core.counters.streams_aborted),
+    ),
+    counter(
+        "trace.recorded",
+        "spotnoise_trace_recorded_total Trace spans recorded",
+        |v| v.core.telemetry.trace.recorded() as f64,
+    ),
+];
+
+/// The registry kind of a field of a node's `/stats` document: its row's,
+/// or a counter for a stage total. `None` for what no row declares
+/// (identity, id lists, flags).
+pub(crate) fn stat_kind(section: &str, field: &str) -> Option<StatKind> {
+    if section == "frames" && STAGES.iter().any(|s| s.total == Some(field)) {
+        return Some(StatKind::Counter);
     }
+    NODE_STATS
+        .iter()
+        .find(|row| row.section_field() == (section, field))
+        .map(|row| row.kind)
 }

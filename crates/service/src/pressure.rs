@@ -55,13 +55,13 @@ impl PressureState {
         }
     }
 
+    /// The wire names reported on `/healthz` and `/stats`, indexed by
+    /// state.
+    pub const NAMES: [&'static str; 3] = ["ok", "elevated", "saturated"];
+
     /// The wire name reported on `/healthz` and `/stats`.
     pub fn name(self) -> &'static str {
-        match self {
-            PressureState::Healthy => "ok",
-            PressureState::Elevated => "elevated",
-            PressureState::Saturated => "saturated",
-        }
+        Self::NAMES[self as usize]
     }
 }
 

@@ -38,9 +38,9 @@ use crate::cluster::{aggregate_stats, ClusterSessionId, HashRing};
 use crate::http::{
     finish_chunked, write_frame_record, write_stream_head, FrameRecord, Request, Response,
 };
-use crate::node::write_prometheus_single;
 use crate::server::{parse_stream_request, serve_front, FrontHandle, Frontend};
 use crate::spec::SessionSpec;
+use crate::stats::{count, counter, write_metrics, Stat, StatsDoc};
 use softpipe::sync::lock_recover;
 use spotnoise::hash::StableHasher;
 use spotnoise::json::Json;
@@ -123,23 +123,72 @@ struct HealthEntry {
     checked: Option<Instant>,
 }
 
+/// The router's counters, each reported through its row in
+/// [`ROUTER_STATS`].
 #[derive(Default)]
 struct RouterCounters {
     http_requests: AtomicU64,
     proxied: AtomicU64,
     sessions_created: AtomicU64,
-    /// Placements that landed somewhere other than the ring-preferred node
-    /// because it was saturated or down.
     rerouted: AtomicU64,
-    /// Requests shed with `503` because every worker was down.
     shed: AtomicU64,
-    /// Proxied requests that failed at the transport (the worker was
-    /// marked down).
     node_errors: AtomicU64,
     streams_relayed: AtomicU64,
     frames_relayed: AtomicU64,
     panics_caught: AtomicU64,
 }
+
+type RouterRead = fn(&RouterCounters) -> f64;
+
+/// The router's `/stats` `router` section and its own `/metrics` families,
+/// one row per counter (see [`crate::stats`]).
+static ROUTER_STATS: &[Stat<RouterRead>] = &[
+    counter(
+        "router.requests",
+        "spotnoise_router_requests_total Requests handled by the router front end",
+        |c| count(&c.http_requests),
+    ),
+    counter(
+        "router.proxied",
+        "spotnoise_router_proxied_total Requests proxied to worker nodes",
+        |c| count(&c.proxied),
+    ),
+    counter(
+        "router.sessions_created",
+        "spotnoise_router_sessions_created_total Sessions created through the router",
+        |c| count(&c.sessions_created),
+    ),
+    counter(
+        "router.rerouted",
+        "spotnoise_router_rerouted_total Placements routed around a saturated or down node",
+        |c| count(&c.rerouted),
+    ),
+    counter(
+        "router.shed",
+        "spotnoise_router_shed_total Requests shed because every worker was down",
+        |c| count(&c.shed),
+    ),
+    counter(
+        "router.node_errors",
+        "spotnoise_router_node_errors_total Proxied requests that failed at the transport",
+        |c| count(&c.node_errors),
+    ),
+    counter(
+        "router.streams_relayed",
+        "spotnoise_router_streams_relayed_total Frame streams relayed from worker nodes",
+        |c| count(&c.streams_relayed),
+    ),
+    counter(
+        "router.frames_relayed",
+        "spotnoise_router_frames_relayed_total Frame records relayed through stream proxying",
+        |c| count(&c.frames_relayed),
+    ),
+    counter(
+        "router.panics_caught",
+        "spotnoise_router_panics_caught_total Panics contained by the router's unwind barriers",
+        |c| count(&c.panics_caught),
+    ),
+];
 
 /// The cluster router: consistent-hash placement over worker nodes plus a
 /// proxying front end for the full service API.
@@ -587,62 +636,17 @@ impl Router {
                 Json::Object(fields)
             })
             .collect();
-        Response::json(
-            200,
-            Json::object([
-                ("schema", Json::str("spotnoise_cluster_stats/v1")),
-                (
-                    "uptime_seconds",
-                    Json::num(self.started.elapsed().as_secs_f64()),
-                ),
-                (
-                    "router",
-                    Json::object([
-                        ("id", Json::str(self.node_id())),
-                        ("workers", Json::num(self.nodes.len() as f64)),
-                        ("workers_up", Json::num(docs.len() as f64)),
-                        (
-                            "requests",
-                            Json::num(self.counters.http_requests.load(Ordering::Relaxed) as f64),
-                        ),
-                        (
-                            "proxied",
-                            Json::num(self.counters.proxied.load(Ordering::Relaxed) as f64),
-                        ),
-                        (
-                            "sessions_created",
-                            Json::num(self.counters.sessions_created.load(Ordering::Relaxed) as f64),
-                        ),
-                        (
-                            "rerouted",
-                            Json::num(self.counters.rerouted.load(Ordering::Relaxed) as f64),
-                        ),
-                        (
-                            "shed",
-                            Json::num(self.counters.shed.load(Ordering::Relaxed) as f64),
-                        ),
-                        (
-                            "node_errors",
-                            Json::num(self.counters.node_errors.load(Ordering::Relaxed) as f64),
-                        ),
-                        (
-                            "streams_relayed",
-                            Json::num(self.counters.streams_relayed.load(Ordering::Relaxed) as f64),
-                        ),
-                        (
-                            "frames_relayed",
-                            Json::num(self.counters.frames_relayed.load(Ordering::Relaxed) as f64),
-                        ),
-                        (
-                            "panics_caught",
-                            Json::num(self.counters.panics_caught.load(Ordering::Relaxed) as f64),
-                        ),
-                    ]),
-                ),
-                ("cluster", aggregate_stats(&docs)),
-                ("per_node", Json::array(per_node)),
-            ]),
-        )
+        let mut doc = StatsDoc::default();
+        doc.put("", "schema", Json::str("spotnoise_cluster_stats/v1"));
+        let uptime = self.started.elapsed().as_secs_f64();
+        doc.put("", "uptime_seconds", Json::num(uptime));
+        doc.put("router", "id", Json::str(self.node_id()));
+        doc.put("router", "workers", Json::num(self.nodes.len() as f64));
+        doc.put("router", "workers_up", Json::num(docs.len() as f64));
+        doc.put_rows(ROUTER_STATS, |read| read(&self.counters));
+        doc.put("", "cluster", aggregate_stats(&docs));
+        doc.put("", "per_node", Json::array(per_node));
+        Response::json(200, doc.into_json())
     }
 
     /// The cluster `/metrics`: the router's own counters plus every
@@ -650,47 +654,7 @@ impl Router {
     /// one scrape sees the whole cluster without series colliding.
     fn metrics_response(&self) -> Response {
         let mut out = String::with_capacity(16384);
-        let singles: [(&str, &str, &str, u64); 6] = [
-            (
-                "spotnoise_router_requests_total",
-                "counter",
-                "Requests handled by the router front end",
-                self.counters.http_requests.load(Ordering::Relaxed),
-            ),
-            (
-                "spotnoise_router_proxied_total",
-                "counter",
-                "Requests proxied to worker nodes",
-                self.counters.proxied.load(Ordering::Relaxed),
-            ),
-            (
-                "spotnoise_router_rerouted_total",
-                "counter",
-                "Placements routed around a saturated or down node",
-                self.counters.rerouted.load(Ordering::Relaxed),
-            ),
-            (
-                "spotnoise_router_shed_total",
-                "counter",
-                "Requests shed because every worker was down",
-                self.counters.shed.load(Ordering::Relaxed),
-            ),
-            (
-                "spotnoise_router_node_errors_total",
-                "counter",
-                "Proxied requests that failed at the transport",
-                self.counters.node_errors.load(Ordering::Relaxed),
-            ),
-            (
-                "spotnoise_router_frames_relayed_total",
-                "counter",
-                "Frame records relayed through stream proxying",
-                self.counters.frames_relayed.load(Ordering::Relaxed),
-            ),
-        ];
-        for (name, kind, help, value) in singles {
-            write_prometheus_single(&mut out, name, kind, help, value as f64);
-        }
+        write_metrics(&mut out, ROUTER_STATS, |read| read(&self.counters));
         let mut first = true;
         for node in &self.nodes {
             let Ok(reply) = node.pool.request("GET", "/metrics", b"") else {

@@ -149,7 +149,7 @@ pub mod collection {
     use std::ops::Range;
 
     /// Strategy producing `Vec`s with lengths drawn from a range; built by
-    /// [`vec`].
+    /// [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

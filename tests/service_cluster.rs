@@ -433,7 +433,7 @@ const NODE_SURFACES: &[&str] = &[
     "sessions.evicted number spotnoise_sessions_evicted_total counter",
     "sessions.closed number spotnoise_sessions_closed_total counter",
     "sessions.quarantined number spotnoise_sessions_quarantined_total counter",
-    "sessions.capacity number - -",
+    "sessions.capacity number spotnoise_sessions_capacity gauge",
     "sessions.ids array - -",
     "frames.rendered number spotnoise_frames_rendered_total counter",
     "frames.advect_us_total number spotnoise_stage_advect_us_sum sum",
@@ -441,16 +441,16 @@ const NODE_SURFACES: &[&str] = &[
     "frames.render_us_total number spotnoise_stage_render_us_sum sum",
     "frames.mean_synthesize_us number - -",
     "channels.live number spotnoise_channels_live gauge",
-    "channels.created number - -",
+    "channels.created number spotnoise_channels_created_total counter",
     "channels.subscribers number spotnoise_channels_subscribers gauge",
-    "channels.peak_subscribers number - -",
+    "channels.peak_subscribers number spotnoise_channels_peak_subscribers gauge",
     "channels.delivered number spotnoise_channels_delivered_total counter",
     "channels.synthesized number spotnoise_channels_synthesized_total counter",
     "channels.skips number spotnoise_channels_skips_total counter",
     "channels.delivery_ratio number - -",
     "cache.entries number spotnoise_cache_entries gauge",
     "cache.bytes number spotnoise_cache_bytes gauge",
-    "cache.capacity_bytes number - -",
+    "cache.capacity_bytes number spotnoise_cache_capacity_bytes gauge",
     "cache.hits number spotnoise_cache_hits_total counter",
     "cache.misses number spotnoise_cache_misses_total counter",
     "cache.insertions number spotnoise_cache_insertions_total counter",
@@ -486,7 +486,7 @@ const NODE_SURFACES: &[&str] = &[
     "http.streams number spotnoise_streams_started_total counter",
     "http.streamed_frames number spotnoise_frames_streamed_total counter",
     "http.streams_aborted number spotnoise_streams_aborted_total counter",
-    "- - spotnoise_trace_recorded_total counter",
+    "trace.recorded number spotnoise_trace_recorded_total counter",
     "latency.request object spotnoise_request_duration_us histogram",
     "latency.queue_wait object spotnoise_queue_wait_us histogram",
     "latency.advect object spotnoise_stage_advect_us histogram",
@@ -504,13 +504,13 @@ const ROUTER_SURFACES: &[&str] = &[
     "router.workers_up number - -",
     "router.requests number spotnoise_router_requests_total counter",
     "router.proxied number spotnoise_router_proxied_total counter",
-    "router.sessions_created number - -",
+    "router.sessions_created number spotnoise_router_sessions_created_total counter",
     "router.rerouted number spotnoise_router_rerouted_total counter",
     "router.shed number spotnoise_router_shed_total counter",
     "router.node_errors number spotnoise_router_node_errors_total counter",
-    "router.streams_relayed number - -",
+    "router.streams_relayed number spotnoise_router_streams_relayed_total counter",
     "router.frames_relayed number spotnoise_router_frames_relayed_total counter",
-    "router.panics_caught number - -",
+    "router.panics_caught number spotnoise_router_panics_caught_total counter",
 ];
 
 /// Numeric `/stats` fields that only mean something per node (ratios,
@@ -602,6 +602,16 @@ fn assert_surfaces(rows: &[&str], stats: Vec<String>, metrics: &str, families: V
             }
             _ => want_families.push(format!("{family} {kind}")),
         }
+    }
+    // One row per item: every numeric field outside the per-node ones has
+    // a family, and every family has a field.
+    for [path, json, family, _] in rows.iter().map(|row| surface_row(row)) {
+        let per_node = PER_NODE_FIELDS.contains(&path) || json != "number";
+        assert!(
+            per_node || family != "-",
+            "/stats field {path} has no /metrics family"
+        );
+        assert!(path != "-", "/metrics family {family} has no /stats field");
     }
     want_stats.sort();
     want_families.sort();
