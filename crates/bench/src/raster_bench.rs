@@ -341,14 +341,80 @@ fn rotated_mesh(
     TexturedMesh::new(rows, cols, vertices)
 }
 
-fn mesh_case(name: &'static str, description: &'static str, mesh: &TexturedMesh) -> BenchCase {
+/// A bent-spot ribbon shaped like `spotnoise::bent::bent_spot_mesh` output:
+/// `rows x cols` vertices tiled across a centre line that is a circular arc
+/// of `curvature` (1/px) through `center`, heading `angle` at its midpoint.
+/// As in the bent-spot transform, the length is `2·radius·stretch` and the
+/// half-width `radius / √stretch`; `u` runs along the ribbon, `v` across.
+fn bent_ribbon(
+    (rows, cols): (usize, usize),
+    center: Vec2,
+    radius: f64,
+    stretch: f64,
+    angle: f64,
+    curvature: f64,
+) -> TexturedMesh {
+    let length = 2.0 * radius * stretch;
+    let half_width = radius / stretch.sqrt();
+    let mut vertices = Vec::with_capacity(rows * cols);
+    for r in 0..rows {
+        let t = r as f64 / (rows - 1) as f64;
+        let s = (t - 0.5) * length;
+        let heading = angle + curvature * s;
+        let along = Vec2::new(
+            (heading.sin() - angle.sin()) / curvature,
+            (angle.cos() - heading.cos()) / curvature,
+        );
+        let normal = Vec2::new(-heading.sin(), heading.cos());
+        for c in 0..cols {
+            let v = c as f64 / (cols - 1) as f64;
+            let offset = (v * 2.0 - 1.0) * half_width;
+            vertices.push(Vertex::new(
+                center + along + normal * offset,
+                t as f32,
+                v as f32,
+            ));
+        }
+    }
+    TexturedMesh::new(rows, cols, vertices)
+}
+
+/// Sixteen bent spots of one application's shape on a 512² target: ribbons
+/// of `radius` px at four `stretches` (within the bent-spot transform's
+/// 1–`max_stretch` range), turned through the full circle and gently curved,
+/// the way the closed-loop workloads draw them.
+fn bent_spots(shape: (usize, usize), radius: f64, stretches: [f64; 4]) -> Vec<TexturedMesh> {
+    (0..16)
+        .map(|i| {
+            let center = Vec2::new(64.0 + (i % 4) as f64 * 128.0, 64.0 + (i / 4) as f64 * 128.0);
+            let stretch = stretches[i % 4];
+            let angle = (i as f64 * 23.0 + 0.37).to_radians();
+            let curvature = [0.012, -0.02, 0.03, -0.008][i / 4];
+            bent_ribbon(shape, center, radius, stretch, angle, curvature)
+        })
+        .collect()
+}
+
+/// Times `TexturedMesh::rasterize` against `rasterize_reference` over
+/// `meshes` (one operation draws all of them), after asserting that both
+/// give bit-identical texels and counters.
+fn mesh_case(name: &'static str, description: &'static str, meshes: &[TexturedMesh]) -> BenchCase {
     let spot = disc_spot_texture(32, 0.5);
+    let draw = |target: &mut Texture, stats: &mut RasterStats, reference: bool| {
+        for mesh in meshes {
+            if reference {
+                mesh.rasterize_reference(target, &spot, 0.5, BlendMode::Additive, stats);
+            } else {
+                mesh.rasterize(target, &spot, 0.5, BlendMode::Additive, stats);
+            }
+        }
+    };
     let mut fast = Texture::new(512, 512);
     let mut slow = Texture::new(512, 512);
     let mut fast_stats = RasterStats::default();
     let mut slow_stats = RasterStats::default();
-    mesh.rasterize(&mut fast, &spot, 0.5, BlendMode::Additive, &mut fast_stats);
-    mesh.rasterize_reference(&mut slow, &spot, 0.5, BlendMode::Additive, &mut slow_stats);
+    draw(&mut fast, &mut fast_stats, false);
+    draw(&mut slow, &mut slow_stats, true);
     assert_eq!(
         fast.absolute_difference(&slow),
         0.0,
@@ -360,7 +426,7 @@ fn mesh_case(name: &'static str, description: &'static str, mesh: &TexturedMesh)
     let probe = {
         let mut stats = RasterStats::default();
         let start = Instant::now();
-        mesh.rasterize_reference(&mut target, &spot, 0.5, BlendMode::Additive, &mut stats);
+        draw(&mut target, &mut stats, true);
         start.elapsed().as_nanos() as f64
     };
     let batch = batch_for(10.0e6, probe);
@@ -368,14 +434,8 @@ fn mesh_case(name: &'static str, description: &'static str, mesh: &TexturedMesh)
     let (reference_ns, optimized) = time_pair_best(
         9,
         batch,
-        || {
-            let mut stats = RasterStats::default();
-            mesh.rasterize_reference(&mut targets.0, &spot, 0.5, BlendMode::Additive, &mut stats);
-        },
-        || {
-            let mut stats = RasterStats::default();
-            mesh.rasterize(&mut targets.1, &spot, 0.5, BlendMode::Additive, &mut stats);
-        },
+        || draw(&mut targets.0, &mut RasterStats::default(), true),
+        || draw(&mut targets.1, &mut RasterStats::default(), false),
     );
     BenchCase {
         name,
@@ -948,7 +1008,14 @@ pub fn run_raster_bench_filtered(filter: Option<&str>) -> RasterBenchReport {
                 mesh_case(
                     "mesh_16x3_rotated",
                     "bent 16x3 turbulence-style mesh, rotated 30 degrees",
-                    &rotated_mesh(16, 3, Vec2::new(256.0, 256.0), 60.0, 12.0, 0.52),
+                    &[rotated_mesh(
+                        16,
+                        3,
+                        Vec2::new(256.0, 256.0),
+                        60.0,
+                        12.0,
+                        0.52,
+                    )],
                 )
             }),
         ),
@@ -958,7 +1025,36 @@ pub fn run_raster_bench_filtered(filter: Option<&str>) -> RasterBenchReport {
                 mesh_case(
                     "mesh_32x17_rotated",
                     "bent 32x17 atmospheric-style mesh, rotated 30 degrees",
-                    &rotated_mesh(32, 17, Vec2::new(256.0, 256.0), 80.0, 40.0, 0.52),
+                    &[rotated_mesh(
+                        32,
+                        17,
+                        Vec2::new(256.0, 256.0),
+                        80.0,
+                        40.0,
+                        0.52,
+                    )],
+                )
+            }),
+        ),
+        (
+            "mesh_12x7_smog",
+            Box::new(|| {
+                // smog_steer's spots: 12x7 meshes of radius 0.035 x 256 px.
+                mesh_case(
+                    "mesh_12x7_smog",
+                    "16 bent 12x7 smog-shaped spots, r=8.96 px (about 3.7 fragments per triangle)",
+                    &bent_spots((12, 7), 8.96, [1.3, 2.0, 2.6, 3.6]),
+                )
+            }),
+        ),
+        (
+            "mesh_8x3_dns",
+            Box::new(|| {
+                // dns_browse's spots: 8x3 meshes of radius 0.012 x 256 px.
+                mesh_case(
+                    "mesh_8x3_dns",
+                    "16 bent 8x3 DNS-shaped spots, r=3.07 px (about 2.4 fragments per triangle)",
+                    &bent_spots((8, 3), 3.07, [2.2, 3.0, 3.6, 4.0]),
                 )
             }),
         ),

@@ -42,13 +42,17 @@
 //! bounding-box walk used to cost more than the fragments.
 //! `rasterize_cell_row` walks a mesh row cell by cell instead. It sets up both
 //! triangles as usual; when both set up, have the same winding and their
-//! union box is narrower than `NARROW_TRIANGLE_WIDTH`, `walk_cell` scans that
-//! union box once. Per pixel, one evaluation of the shared diagonal picks A
-//! or B — canonical edge evaluation (see *Fill rule*) makes the diagonal's
-//! predicate exactly complementary between the two — and the pixel is then
-//! tested against that triangle's own box and other two edges, and shaded
-//! with that triangle's own uv planes. A and B are disjoint, so every pixel
-//! is blended at most once, with the value the per-triangle path gives it.
+//! union box is narrower than `NARROW_TRIANGLE_WIDTH`, `simd::walk_cell`
+//! scans that union box once. A pixel belongs to A or B by the shared
+//! diagonal — canonical edge evaluation (see *Fill rule*) makes the
+//! diagonal's predicate exactly complementary between the two — and then
+//! to that triangle only if it lies in the triangle's own box and inside
+//! its other two edges; it is shaded with that triangle's own uv planes. A
+//! and B are disjoint, so every pixel is blended at most once, with the
+//! value the per-triangle path gives it. The scalar walk tests this per
+//! pixel; the vector levels evaluate the five edge forms (the diagonal once,
+//! two more each for A and B) in lanes across a scanline of the box and
+//! shade the set bits of one coverage mask per triangle.
 //!
 //! Every other cell takes the per-triangle path, A then B: twisted or folded
 //! cells (the windings differ, so the triangles overlap), wide cells (the
@@ -191,13 +195,20 @@ impl EdgeFn {
     }
 }
 
-/// An [`EdgeFn`] restricted to one scanline: `e(px) = c + px·a`.
+/// An [`EdgeFn`] restricted to one scanline: `e(px) = c + px·a`. The fields
+/// are crate-visible so the cell-coverage kernels can evaluate the same form
+/// per lane.
 #[derive(Debug, Clone, Copy)]
-struct RowEdge {
-    c: f64,
-    a: f64,
-    flip: bool,
-    accept: bool,
+pub(crate) struct RowEdge {
+    /// Edge value at column 0 of the scanline.
+    pub(crate) c: f64,
+    /// Edge value change per pixel step along the row.
+    pub(crate) a: f64,
+    /// Whether the triangle traverses the edge against its canonical order
+    /// (coverage is then the negated value's sign).
+    pub(crate) flip: bool,
+    /// Whether a value of exactly zero is covered (the top-left rule).
+    pub(crate) accept: bool,
 }
 
 impl RowEdge {
@@ -206,13 +217,13 @@ impl RowEdge {
     /// reference path (at every pixel) all call it, so coverage decisions
     /// agree bit-for-bit.
     #[inline]
-    fn covers(&self, px: usize) -> bool {
+    pub(crate) fn covers(&self, px: usize) -> bool {
         self.test(self.value(px))
     }
 
     /// The edge value at pixel column `px`.
     #[inline]
-    fn value(&self, px: usize) -> f64 {
+    pub(crate) fn value(&self, px: usize) -> f64 {
         self.c + px as f64 * self.a
     }
 
@@ -220,7 +231,7 @@ impl RowEdge {
     /// Two triangles sharing an edge evaluate the same value and apply
     /// opposite `flip` and `accept`, so exactly one of them accepts it.
     #[inline]
-    fn test(&self, e: f64) -> bool {
+    pub(crate) fn test(&self, e: f64) -> bool {
         if self.flip {
             e < 0.0 || (e == 0.0 && self.accept)
         } else {
@@ -332,7 +343,7 @@ impl AttrRow {
 /// forms, and the two texture-coordinate planes. Shared by the span walker
 /// and the reference path so both consume identical per-pixel arithmetic.
 #[derive(Debug, Clone, Copy)]
-struct TriSetup {
+pub(crate) struct TriSetup {
     x0: usize,
     x1: usize,
     y0: usize,
@@ -350,7 +361,7 @@ impl TriSetup {
     /// triangle counters exactly like the original implementation (vertex
     /// counting is the caller's responsibility, so quads and meshes can
     /// account shared vertices correctly).
-    fn new(
+    pub(crate) fn new(
         target: &Texture,
         v0: Vertex,
         v1: Vertex,
@@ -385,10 +396,10 @@ impl TriSetup {
             return None;
         }
         stats.triangles += 1;
-        let x0 = (min_x.floor().max(0.0)) as usize;
-        let y0 = (min_y.floor().max(0.0)) as usize;
-        let x1 = (max_x.ceil().min(target.width() as f64 - 1.0)) as usize;
-        let y1 = (max_y.ceil().min(target.height() as f64 - 1.0)) as usize;
+        let x0 = floor_index(min_x);
+        let y0 = floor_index(min_y);
+        let x1 = ceil_index(max_x, target.width());
+        let y1 = ceil_index(max_y, target.height());
 
         let (px0, px1, px2) = (v0.position, v1.position, v2.position);
         let inv_area = 1.0 / area;
@@ -426,6 +437,27 @@ impl TriSetup {
             flipped,
         })
     }
+}
+
+/// `floor(min.max(0))` as an index, by a cast: on the clamped value, which
+/// is `≥ 0` (a NaN `min` clamps to 0), truncation is `floor`. Same result as
+/// `min.floor().max(0.0) as usize` for every input, without the libm call.
+#[inline]
+fn floor_index(min: f64) -> usize {
+    min.max(0.0) as usize
+}
+
+/// `ceil(max.min(len − 1))` as an index, by a cast: the clamped value lies in
+/// `[0, len − 1]` for every `max` that survives the off-target rejection
+/// (NaN clamps to `len − 1`), and `len − 1` is an integer, so clamping
+/// before rounding up changes nothing. Same result as
+/// `max.ceil().min(len − 1) as usize` for every input, without the libm
+/// call.
+#[inline]
+fn ceil_index(max: f64, len: usize) -> usize {
+    let clamped = max.min(len as f64 - 1.0);
+    let truncated = clamped as usize;
+    truncated + usize::from((truncated as f64) < clamped)
 }
 
 #[inline]
@@ -513,10 +545,12 @@ pub(crate) enum Shading<'a> {
 }
 
 /// The per-fragment sample of [`Shading::Bilinear`] at `(u, v)`, scaled by
-/// `intensity`.
+/// `intensity`. The closures of both samplers are forced inline: the vector
+/// cell kernels otherwise call them out of line once per fragment.
 #[inline(always)]
 fn bilinear_sampler(spot: &Texture, intensity: f32) -> impl Fn(f32, f32) -> f32 + '_ {
     let (tw, th, texels) = (spot.width(), spot.height(), spot.data());
+    #[inline(always)]
     move |u, v| bilinear_sample(texels, tw, th, u, v) * intensity
 }
 
@@ -525,6 +559,7 @@ fn bilinear_sampler(spot: &Texture, intensity: f32) -> impl Fn(f32, f32) -> f32 
 #[inline(always)]
 fn nearest_sampler(tex: &Texture, intensity: f32) -> impl Fn(f32, f32) -> f32 + '_ {
     let (tw, th, texels) = (tex.width(), tex.height(), tex.data());
+    #[inline(always)]
     move |u, v| texels[nearest_index(v, th) * tw + nearest_index(u, tw)] * intensity
 }
 
@@ -584,9 +619,10 @@ fn walk_narrow_blended<S: Fn(f32, f32) -> f32>(
 /// triangles are bound by texture sampling and per-row setup, not by
 /// inside-tests, so per-row boundary searches cost more than they save. The
 /// same bound decides whether a mesh cell is scanned as one box by
-/// [`walk_cell`]. Both narrow walkers evaluate the same predicate per pixel
-/// and shade with the same arithmetic, so outputs remain pixel-identical.
-const NARROW_TRIANGLE_WIDTH: usize = 12;
+/// [`simd::walk_cell`]. Both narrow walkers evaluate the same predicate per
+/// pixel and shade with the same arithmetic, so outputs remain
+/// pixel-identical.
+pub(crate) const NARROW_TRIANGLE_WIDTH: usize = 12;
 
 /// The narrow-triangle walker: the per-pixel coverage loop over the
 /// bounding box, shading each covered fragment with `sample` (bilinear in
@@ -826,50 +862,24 @@ fn walk_spans_wide_nearest(
     }
 }
 
-/// One triangle of a fused mesh cell restricted to one scanline: its
-/// column range (empty outside its bounding box), the shared diagonal as
-/// this triangle evaluates it, its two other edges and its own uv rows.
-#[derive(Debug, Clone, Copy)]
-struct CellTriangleRow {
-    x0: usize,
-    x1: usize,
-    diagonal: RowEdge,
-    others: [RowEdge; 2],
-    u_row: AttrRow,
-    v_row: AttrRow,
-}
-
-impl CellTriangleRow {
-    /// Specializes `setup`, whose edge `diagonal` (1 or 2) is the shared
-    /// one, for scanline `py`.
-    #[inline]
-    fn new(setup: &TriSetup, diagonal: usize, py: usize) -> CellTriangleRow {
-        let (x0, x1) = if (setup.y0..=setup.y1).contains(&py) {
-            (setup.x0, setup.x1)
-        } else {
-            (usize::MAX, 0)
-        };
-        CellTriangleRow {
-            x0,
-            x1,
-            diagonal: setup.edges[diagonal].row(py),
-            others: [setup.edges[0].row(py), setup.edges[3 - diagonal].row(py)],
-            u_row: setup.u_plane.row(py),
-            v_row: setup.v_plane.row(py),
-        }
-    }
-}
-
 /// A mesh cell whose two triangles `A = (v00, v10, v11)` and
-/// `B = (v00, v11, v01)` are scanned as one box (see [`walk_cell`]).
+/// `B = (v00, v11, v01)` are scanned as one box by the cell walker
+/// ([`simd::walk_cell`]). Triangle `t` is A for `t = 0` and B for `t = 1`.
 #[derive(Debug, Clone, Copy)]
-struct FusedCell<'a> {
-    x0: usize,
-    x1: usize,
-    y0: usize,
-    y1: usize,
+pub(crate) struct FusedCell<'a> {
+    /// First column of the union box.
+    pub(crate) x0: usize,
+    /// Last column of the union box (`x1 − x0 < NARROW_TRIANGLE_WIDTH`).
+    pub(crate) x1: usize,
+    /// First scanline of the union box.
+    pub(crate) y0: usize,
+    /// Last scanline of the union box.
+    pub(crate) y1: usize,
     /// A and B, each with the index of its diagonal edge.
     triangles: [(&'a TriSetup, usize); 2],
+    /// The columns of A's and B's own bounding boxes as bit masks relative
+    /// to `x0` (bit `i` is column `x0 + i`).
+    columns: [u32; 2],
 }
 
 impl<'a> FusedCell<'a> {
@@ -877,7 +887,7 @@ impl<'a> FusedCell<'a> {
     /// the cell must take the per-triangle path: the windings differ (a
     /// twisted or folded cell, whose triangles overlap) or the union box is
     /// not narrower than [`NARROW_TRIANGLE_WIDTH`].
-    fn fuse(a: &'a TriSetup, b: &'a TriSetup) -> Option<FusedCell<'a>> {
+    pub(crate) fn fuse(a: &'a TriSetup, b: &'a TriSetup) -> Option<FusedCell<'a>> {
         if a.flipped != b.flipped {
             return None;
         }
@@ -898,13 +908,47 @@ impl<'a> FusedCell<'a> {
         if a.edges[diag_a].flip == b.edges[diag_b].flip {
             return None;
         }
+        let columns = [a, b].map(|t| ((1u32 << (t.x1 - t.x0 + 1)) - 1) << (t.x0 - x0));
         Some(FusedCell {
             x0,
             x1,
             y0: a.y0.min(b.y0),
             y1: a.y1.max(b.y1),
             triangles: [(a, diag_a), (b, diag_b)],
+            columns,
         })
+    }
+
+    /// Triangle `t`'s edges on scanline `py`: the shared diagonal as `t`
+    /// evaluates it, then its other two edges.
+    #[inline(always)]
+    pub(crate) fn edges(&self, t: usize, py: usize) -> [RowEdge; 3] {
+        let (setup, diagonal) = self.triangles[t];
+        [
+            setup.edges[diagonal].row(py),
+            setup.edges[0].row(py),
+            setup.edges[3 - diagonal].row(py),
+        ]
+    }
+
+    /// The columns of scanline `py` inside triangle `t`'s own bounding box
+    /// (the only pixels the per-triangle path visits for it), as a bit mask
+    /// relative to `x0`; zero on scanlines outside that box.
+    #[inline(always)]
+    pub(crate) fn box_bits(&self, t: usize, py: usize) -> u32 {
+        let setup = self.triangles[t].0;
+        if (setup.y0..=setup.y1).contains(&py) {
+            self.columns[t]
+        } else {
+            0
+        }
+    }
+
+    /// Triangle `t`'s `u` and `v` rows on scanline `py`.
+    #[inline(always)]
+    pub(crate) fn uv_rows(&self, t: usize, py: usize) -> (AttrRow, AttrRow) {
+        let setup = self.triangles[t].0;
+        (setup.u_plane.row(py), setup.v_plane.row(py))
     }
 }
 
@@ -915,10 +959,10 @@ impl<'a> FusedCell<'a> {
 /// counting: meshes count one vertex per node up front.
 ///
 /// Cells that [`FusedCell::fuse`] accepts are scanned once by
-/// [`walk_cell`]; every other cell, and every cell with a rejected
-/// triangle, takes the per-triangle path, A then B. The shading and the
-/// blend mode are dispatched once per row; additive blending (the spot
-/// noise sum) gets its own monomorphized copy of the cell loop.
+/// [`simd::walk_cell`] at the active SIMD level; every other cell, and every
+/// cell with a rejected triangle, takes the per-triangle path, A then B. The
+/// shading and the blend mode are dispatched once per row; additive blending
+/// (the spot noise sum) gets its own monomorphized copy of the cell loop.
 pub(crate) fn rasterize_cell_row(
     target: &mut Texture,
     top: &[Vertex],
@@ -934,6 +978,7 @@ pub(crate) fn rasterize_cell_row(
         shading,
         intensity,
         blend,
+        level: simd::active(),
     };
     let add = |d: f32, s: f32| d + s;
     let apply = move |d: f32, s: f32| blend.apply(d, s);
@@ -961,6 +1006,7 @@ struct CellRow<'a> {
     shading: Shading<'a>,
     intensity: f32,
     blend: BlendMode,
+    level: SimdLevel,
 }
 
 impl CellRow<'_> {
@@ -981,7 +1027,10 @@ impl CellRow<'_> {
             let tri_b = TriSetup::new(target, v00, v11, v01, stats);
             if let (Some(a), Some(b)) = (&tri_a, &tri_b) {
                 if let Some(cell) = FusedCell::fuse(a, b) {
-                    stats.fragments += walk_cell(target, &cell, &sample, &apply);
+                    let width = target.width();
+                    let data = target.data_mut();
+                    stats.fragments +=
+                        simd::walk_cell(self.level, data, width, &cell, &sample, &apply);
                     continue;
                 }
             }
@@ -991,55 +1040,6 @@ impl CellRow<'_> {
             }
         }
     }
-}
-
-/// The mesh cell walker: scans a fused cell's union box once. At each pixel
-/// one evaluation of the shared diagonal picks the only triangle that can
-/// cover it — canonical edge evaluation makes the diagonal's predicate
-/// exactly complementary between A and B — and the pixel is then tested
-/// against that triangle's own predicates and shaded with its own uv planes.
-/// The tests repeat the picked triangle's diagonal predicate (a NaN edge
-/// value satisfies neither) and check its own bounding box, the only pixels
-/// the per-triangle path visits for it. Coverage, sample values and the
-/// single blend per pixel are therefore exactly those of rasterizing A then
-/// B. Returns the fragment count.
-#[inline(always)]
-fn walk_cell<S: Fn(f32, f32) -> f32, F: Fn(f32, f32) -> f32>(
-    target: &mut Texture,
-    cell: &FusedCell,
-    sample: &S,
-    apply: &F,
-) -> u64 {
-    let width = target.width();
-    let data = target.data_mut();
-    let mut fragments = 0;
-    for py in cell.y0..=cell.y1 {
-        let rows = cell
-            .triangles
-            .map(|(setup, diagonal)| CellTriangleRow::new(setup, diagonal, py));
-        let row_start = py * width;
-        let row = &mut data[row_start + cell.x0..=row_start + cell.x1];
-        for (offset, dst) in row.iter_mut().enumerate() {
-            let px = cell.x0 + offset;
-            let e = rows[0].diagonal.value(px);
-            let tri = if rows[0].diagonal.test(e) {
-                &rows[0]
-            } else {
-                &rows[1]
-            };
-            if !(tri.diagonal.test(e)
-                && (tri.x0..=tri.x1).contains(&px)
-                && tri.others[0].covers(px)
-                && tri.others[1].covers(px))
-            {
-                continue;
-            }
-            let sample = sample(tri.u_row.at(px) as f32, tri.v_row.at(px) as f32);
-            *dst = apply(*dst, sample);
-            fragments += 1;
-        }
-    }
-    fragments
 }
 
 /// Footprint-mode counterpart of [`rasterize_triangle_uncounted`]: same
@@ -1330,6 +1330,44 @@ mod tests {
         rasterize_triangle(&mut a, &spot, v0, v1, v2, 1.0, BlendMode::Additive, &mut s);
         rasterize_triangle(&mut b, &spot, v0, v2, v1, 1.0, BlendMode::Additive, &mut s);
         assert_eq!(a.absolute_difference(&b), 0.0);
+    }
+
+    #[test]
+    fn cast_box_bounds_match_floor_and_ceil_for_every_input() {
+        let specials = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            0.0,
+            -0.0,
+            1e-300,
+            -1e-300,
+            0.5,
+            -0.5,
+            0.9999999999999999,
+            1.0,
+            1.0000000000000002,
+            7.0,
+            7.25,
+            -7.25,
+            63.0,
+            63.5,
+            64.0,
+            64.75,
+            1e12,
+        ];
+        let grid = (-40..=300).map(|i| i as f64 * 0.25);
+        for x in specials.into_iter().chain(grid) {
+            assert_eq!(floor_index(x), x.floor().max(0.0) as usize, "floor {x:?}");
+            for len in [0, 1, 2, 7, 64, 65] {
+                let libm = x.ceil().min(len as f64 - 1.0) as usize;
+                assert_eq!(ceil_index(x, len), libm, "ceil {x:?}, len {len}");
+            }
+        }
     }
 
     #[test]

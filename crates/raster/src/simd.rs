@@ -12,6 +12,13 @@
 //!   row: one prefetched texture row pair), `fill_nearest_2d` and
 //!   `fill_nearest_row` (their Footprint-mode nearest-fetch twins) and
 //!   `blend_uniform` (uniform texture rows);
+//! * the bent-mesh cell walker `walk_cell`: per scanline of a fused mesh
+//!   cell (at most 12 columns), the five edge forms — the shared diagonal
+//!   once, the other two edges of each triangle — are evaluated in `f64`
+//!   lanes (AVX2 4 wide, SSE2 and NEON 2 wide), giving one coverage bit
+//!   mask per triangle; only the set bits are shaded, through the caller's
+//!   `sample`/`apply`, so Exact and Footprint share it. The scalar level is
+//!   the per-pixel `RowEdge::covers` loop and the oracle;
 //! * the gather folds `fold_copy` and `fold_acc`, and `copy_slice`.
 //!
 //! # Bit identity
@@ -34,6 +41,15 @@
 //!   weight; the vector levels do the same (so the sample is NaN at every
 //!   level), and ±inf clamps to the edge texel. Every gathered index is
 //!   inside the texture for every input.
+//! * Cell coverage is the scalar predicate lane by lane. Pixel columns
+//!   convert to `f64` exactly (`i32 → f64` on x86, below
+//!   `CELL_LANE_COLUMNS`; the scalar `as f64` on NEON), each edge value is
+//!   `c + px·a` with a separate multiply and add, as `RowEdge::value`, and
+//!   normalising by `flip` flips the sign bit — IEEE negation is exact, so
+//!   the normalised value is `±e` bit for bit and the test
+//!   `e' > 0 | (accept & e' == 0)` decides exactly what `RowEdge::test`
+//!   decides (NaN fails both). B's side of the shared diagonal is `-e'` of
+//!   A's, and B keeps only the columns A's diagonal test rejects.
 //! * `Max` blending is the explicit compare-select `if src > dst { src }
 //!   else { dst }` in both the scalar path ([`BlendMode::apply`]) and the
 //!   vector kernels (`cmpgt` + select). `f32::max`/`maxps` could not be used:
@@ -44,7 +60,10 @@
 //! The proptest suite at the bottom pins every kernel to its scalar twin
 //! bit-for-bit over random lengths (including sub-lane tails), blend modes
 //! and slice offsets, at every level the host can run; `fill_bilinear_2d` is
-//! pinned directly to the per-pixel oracle, `Texture::sample_bilinear`.
+//! pinned directly to the per-pixel oracle, `Texture::sample_bilinear`, and
+//! `walk_cell` to the per-triangle edge predicate over random fused cells
+//! (every box width, both windings, every `flip`/`accept`, pixel centres on
+//! edges, boxes clipped at both target borders, NaN and ±inf coordinates).
 //!
 //! # Dispatch
 //!
@@ -56,7 +75,7 @@
 //! bits.
 
 use crate::blend::BlendMode;
-use crate::raster::{bilinear_sample, nearest_index, AttrRow};
+use crate::raster::{bilinear_sample, nearest_index, AttrRow, FusedCell, RowEdge};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
@@ -469,6 +488,135 @@ pub(crate) fn copy_slice(level: SimdLevel, dst: &mut [f32], src: &[f32]) {
     }
 }
 
+/// The mesh cell walker: scans a fused cell's union box once, shading each
+/// covered pixel with the uv rows of the one triangle (A or B) that covers
+/// it — `sample(u, v)` gives the fragment, `apply(dst, fragment)` blends it.
+/// `data` is the target's texels, `width` texels per row. Returns the
+/// fragment count.
+///
+/// The scalar level tests every pixel of the box with [`RowEdge::covers`]
+/// (the oracle); the vector levels evaluate the cell's five edge forms in
+/// lanes and shade the set bits of one coverage mask per triangle per
+/// scanline, with identical coverage (see the module docs).
+///
+/// Forced inline so the scalar walk stays inlined in the cell loop; called
+/// through a separate function it ran ~10% slower in the forced-scalar
+/// bench leg.
+///
+/// [`RowEdge::covers`]: crate::raster::RowEdge::covers
+#[inline(always)]
+pub(crate) fn walk_cell<S: Fn(f32, f32) -> f32, F: Fn(f32, f32) -> f32>(
+    level: SimdLevel,
+    data: &mut [f32],
+    width: usize,
+    cell: &FusedCell,
+    sample: &S,
+    apply: &F,
+) -> u64 {
+    // SAFETY: each vector arm runs only at a level `available()` offers on
+    // this host (the dispatch contract above the x86 and NEON modules), so
+    // the kernel's target features are present. The x86 kernels also
+    // convert pixel columns through `i32`, which the guards keep exact.
+    match level {
+        SimdLevel::Scalar => scalar_walk_cell(data, width, cell, sample, apply),
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Sse2 if cell.x1 < CELL_LANE_COLUMNS => unsafe {
+            x86::walk_cell_sse2(data, width, cell, sample, apply)
+        },
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 if cell.x1 < CELL_LANE_COLUMNS => unsafe {
+            x86::walk_cell_avx2(data, width, cell, sample, apply)
+        },
+        #[cfg(target_arch = "aarch64")]
+        SimdLevel::Neon => unsafe { neon::walk_cell_neon(data, width, cell, sample, apply) },
+        #[allow(unreachable_patterns)]
+        _ => scalar_walk_cell(data, width, cell, sample, apply),
+    }
+}
+
+/// Columns below which every lane of a cell's box (at most 12 columns from
+/// `x0`, rounded up to whole vectors) converts to `f64` exactly through
+/// `i32`.
+#[cfg(target_arch = "x86_64")]
+const CELL_LANE_COLUMNS: usize = i32::MAX as usize - 16;
+
+/// Shades scanline `py` of a fused cell from its coverage masks: bit `i` of
+/// `masks[t]` covers column `cell.x0 + i` for triangle `t`. Masks are first
+/// clipped to each triangle's own bounding box; each pixel is shaded with
+/// its triangle's uv rows exactly as the per-pixel walk shades it. Returns
+/// the fragment count. Shared by every vector level.
+#[inline(always)]
+fn shade_cell_row<S: Fn(f32, f32) -> f32, F: Fn(f32, f32) -> f32>(
+    data: &mut [f32],
+    width: usize,
+    cell: &FusedCell,
+    py: usize,
+    masks: [u32; 2],
+    sample: &S,
+    apply: &F,
+) -> u64 {
+    // A's columns in the low half-word, B's in the high one: one loop over
+    // the row's fragments, whichever triangle covers them.
+    let mut bits = (masks[0] & cell.box_bits(0, py)) | (masks[1] & cell.box_bits(1, py)) << 16;
+    if bits == 0 {
+        return 0;
+    }
+    let uv = [cell.uv_rows(0, py), cell.uv_rows(1, py)];
+    let row = &mut data[py * width + cell.x0..=py * width + cell.x1];
+    let mut fragments = 0;
+    while bits != 0 {
+        let bit = bits.trailing_zeros() as usize;
+        bits &= bits - 1;
+        let (i, (u_row, v_row)) = (bit & 15, uv[bit >> 4]);
+        let px = cell.x0 + i;
+        row[i] = apply(row[i], sample(u_row.at(px) as f32, v_row.at(px) as f32));
+        fragments += 1;
+    }
+    fragments
+}
+
+/// The row loop of every vector cell kernel. Per scanline it takes the row
+/// constants `c` of A's three edges (diagonal first) and of B's other two,
+/// calls `block(k, &c)` for each `lanes`-wide column block `k` of the box —
+/// A's and B's coverage bits of those columns — and shades the row's masks.
+/// Inlined into each `#[target_feature]` kernel, so the whole loop runs with
+/// the kernel's features (a kernel called once per row lost most of the
+/// gain).
+#[inline(always)]
+fn walk_cell_rows<S: Fn(f32, f32) -> f32, F: Fn(f32, f32) -> f32>(
+    data: &mut [f32],
+    width: usize,
+    cell: &FusedCell,
+    sample: &S,
+    apply: &F,
+    lanes: usize,
+    block: impl Fn(usize, &[f64; 5]) -> (u32, u32),
+) -> u64 {
+    let blocks = (cell.x1 - cell.x0) / lanes + 1;
+    let mut fragments = 0;
+    for py in cell.y0..=cell.y1 {
+        let [a, b] = [cell.edges(0, py), cell.edges(1, py)];
+        let c = [a[0].c, a[1].c, a[2].c, b[1].c, b[2].c];
+        let mut masks = [0u32; 2];
+        for k in 0..blocks {
+            let (in_a, in_b) = block(k, &c);
+            masks[0] |= in_a << (lanes * k);
+            masks[1] |= in_b << (lanes * k);
+        }
+        fragments += shade_cell_row(data, width, cell, py, masks, sample, apply);
+    }
+    fragments
+}
+
+/// A fused cell's edges in the vector kernels' order — A's diagonal and
+/// other two edges, then B's — on its first scanline. Only their slope,
+/// `flip` and `accept` are used, which every scanline shares.
+#[inline(always)]
+fn cell_edges(cell: &FusedCell) -> [RowEdge; 6] {
+    let [a, b] = [cell.edges(0, cell.y0), cell.edges(1, cell.y0)];
+    [a[0], a[1], a[2], b[0], b[1], b[2]]
+}
+
 // ---------------------------------------------------------------------------
 // Scalar fallbacks: the per-pixel samples, driven through the lane-block
 // loop. These are the oracle every vector kernel is pinned against, and the
@@ -651,6 +799,50 @@ fn scalar_fold_acc(dst: &mut [f32], srcs: &[&[f32]]) {
     }
 }
 
+/// The scalar cell walk and oracle: per pixel of the union box, one
+/// evaluation of the shared diagonal picks the only triangle that can cover
+/// it — canonical edge evaluation makes the diagonal's predicate exactly
+/// complementary between A and B — and the pixel is then tested against
+/// that triangle's own predicates and shaded with its own uv rows. The tests
+/// repeat the picked triangle's diagonal predicate (a NaN edge value
+/// satisfies neither) and check its own bounding box, the only pixels the
+/// per-triangle path visits for it. Coverage, sample values and the single
+/// blend per pixel are therefore exactly those of rasterizing A then B.
+#[inline(always)]
+fn scalar_walk_cell<S: Fn(f32, f32) -> f32, F: Fn(f32, f32) -> f32>(
+    data: &mut [f32],
+    width: usize,
+    cell: &FusedCell,
+    sample: &S,
+    apply: &F,
+) -> u64 {
+    let mut fragments = 0;
+    for py in cell.y0..=cell.y1 {
+        // Triangle t's edges (diagonal first), box columns and uv rows.
+        let rows = [0, 1].map(|t| (cell.edges(t, py), cell.box_bits(t, py), cell.uv_rows(t, py)));
+        let row = &mut data[py * width + cell.x0..=py * width + cell.x1];
+        for (offset, dst) in row.iter_mut().enumerate() {
+            let px = cell.x0 + offset;
+            let e = rows[0].0[0].value(px);
+            let (edges, columns, (u_row, v_row)) = if rows[0].0[0].test(e) {
+                &rows[0]
+            } else {
+                &rows[1]
+            };
+            if !(edges[0].test(e)
+                && (columns >> offset) & 1 == 1
+                && edges[1].covers(px)
+                && edges[2].covers(px))
+            {
+                continue;
+            }
+            *dst = apply(*dst, sample(u_row.at(px) as f32, v_row.at(px) as f32));
+            fragments += 1;
+        }
+    }
+    fragments
+}
+
 // ---------------------------------------------------------------------------
 // x86_64 kernels: SSE2 (baseline, 4 lanes) and AVX2 (detected, 8 lanes).
 //
@@ -662,9 +854,11 @@ fn scalar_fold_acc(dst: &mut [f32], srcs: &[&[f32]]) {
 // ---------------------------------------------------------------------------
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{fill_tail, hoisted_lerp};
+    use super::{cell_edges, fill_tail, hoisted_lerp, walk_cell_rows};
     use crate::blend::BlendMode;
-    use crate::raster::{bilinear_axis, bilinear_sample, nearest_index, AttrRow};
+    use crate::raster::{
+        bilinear_axis, bilinear_sample, nearest_index, AttrRow, FusedCell, RowEdge,
+    };
     use core::arch::x86_64::*;
 
     #[inline]
@@ -1151,6 +1345,99 @@ mod x86 {
         });
     }
 
+    // -- Fused mesh cells: the shared diagonal and the four other edges in
+    // f64 lanes, one coverage bit mask per triangle per scanline. --
+
+    /// The row-invariant part of one edge of a fused cell, splatted once
+    /// per cell: the slope `a`, the sign mask that normalises the edge by
+    /// its `flip`, and all-ones lanes when the edge `accept`s zero.
+    #[derive(Clone, Copy)]
+    struct EdgeLanes2 {
+        a: __m128d,
+        sign: __m128d,
+        accept: __m128d,
+    }
+
+    impl EdgeLanes2 {
+        #[inline]
+        #[target_feature(enable = "sse2")]
+        fn new(e: RowEdge) -> EdgeLanes2 {
+            EdgeLanes2 {
+                a: _mm_set1_pd(e.a),
+                sign: _mm_castsi128_pd(_mm_set1_epi64x(i64::from(e.flip) << 63)),
+                accept: _mm_castsi128_pd(_mm_set1_epi64x(-i64::from(e.accept))),
+            }
+        }
+
+        /// The edge value `c + px·a` at 2 columns: multiply then add, as
+        /// [`RowEdge::value`].
+        #[inline]
+        #[target_feature(enable = "sse2")]
+        fn value(&self, c: f64, px: __m128d) -> __m128d {
+            _mm_add_pd(_mm_set1_pd(c), _mm_mul_pd(px, self.a))
+        }
+
+        /// [`RowEdge::test`] lane-wise: the value is sign-normalised (`±e`,
+        /// bit for bit: flipping the sign bit is exact IEEE negation), then
+        /// covered when `> 0`, or `== 0` on an accepting edge; NaN never is.
+        #[inline]
+        #[target_feature(enable = "sse2")]
+        fn test(&self, value: __m128d) -> __m128d {
+            let side = _mm_xor_pd(value, self.sign);
+            let zero = _mm_setzero_pd();
+            let on_edge = _mm_and_pd(_mm_cmpeq_pd(side, zero), self.accept);
+            _mm_or_pd(_mm_cmpgt_pd(side, zero), on_edge)
+        }
+    }
+
+    /// Coverage of 2 columns by A and by B. `lanes` holds A's diagonal,
+    /// A's other two edges, then B's in the same order; `c` the row's
+    /// constants of A's three edges, then of B's other two. The diagonal
+    /// form is evaluated once — A and B build it from the same canonical
+    /// endpoints — and each triangle normalises it by its own `flip`; B
+    /// only takes the lanes A's diagonal test rejects.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn cell_block2(px: __m128d, c: &[f64; 5], lanes: &[EdgeLanes2; 6]) -> (u32, u32) {
+        let diagonal = lanes[0].value(c[0], px);
+        let diag_a = lanes[0].test(diagonal);
+        let diag_b = lanes[3].test(diagonal);
+        let others_a = _mm_and_pd(
+            lanes[1].test(lanes[1].value(c[1], px)),
+            lanes[2].test(lanes[2].value(c[2], px)),
+        );
+        let others_b = _mm_and_pd(
+            lanes[4].test(lanes[4].value(c[3], px)),
+            lanes[5].test(lanes[5].value(c[4], px)),
+        );
+        let in_a = _mm_and_pd(diag_a, others_a);
+        let in_b = _mm_andnot_pd(diag_a, _mm_and_pd(diag_b, others_b));
+        (_mm_movemask_pd(in_a) as u32, _mm_movemask_pd(in_b) as u32)
+    }
+
+    /// The SSE2 cell walk: up to 12 columns as six 2-lane blocks per
+    /// scanline, the row loop inside the kernel.
+    #[target_feature(enable = "sse2")]
+    pub(super) fn walk_cell_sse2<S: Fn(f32, f32) -> f32, F: Fn(f32, f32) -> f32>(
+        data: &mut [f32],
+        width: usize,
+        cell: &FusedCell,
+        sample: &S,
+        apply: &F,
+    ) -> u64 {
+        // Pixel columns, converted exactly through i32.
+        let x0 = cell.x0 as i32;
+        let mut px = [_mm_setzero_pd(); 6];
+        for (k, lanes) in px.iter_mut().enumerate() {
+            let col = x0 + 2 * k as i32;
+            *lanes = _mm_cvtepi32_pd(_mm_setr_epi32(col, col + 1, 0, 0));
+        }
+        let lanes = cell_edges(cell).map(|e| EdgeLanes2::new(e));
+        walk_cell_rows(data, width, cell, sample, apply, 2, |k, c| {
+            cell_block2(px[k], c, &lanes)
+        })
+    }
+
     // -- AVX2: 8-lane versions of the same kernels, with hardware gathers. --
 
     #[inline]
@@ -1594,6 +1881,86 @@ mod x86 {
             i += 8;
         }
     }
+    /// The 4-lane [`EdgeLanes2`].
+    #[derive(Clone, Copy)]
+    struct EdgeLanes4 {
+        a: __m256d,
+        sign: __m256d,
+        accept: __m256d,
+    }
+
+    impl EdgeLanes4 {
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn new(e: RowEdge) -> EdgeLanes4 {
+            EdgeLanes4 {
+                a: _mm256_set1_pd(e.a),
+                sign: _mm256_castsi256_pd(_mm256_set1_epi64x(i64::from(e.flip) << 63)),
+                accept: _mm256_castsi256_pd(_mm256_set1_epi64x(-i64::from(e.accept))),
+            }
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn value(&self, c: f64, px: __m256d) -> __m256d {
+            _mm256_add_pd(_mm256_set1_pd(c), _mm256_mul_pd(px, self.a))
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn test(&self, value: __m256d) -> __m256d {
+            let side = _mm256_xor_pd(value, self.sign);
+            let zero = _mm256_setzero_pd();
+            let on_edge = _mm256_and_pd(_mm256_cmp_pd::<_CMP_EQ_OQ>(side, zero), self.accept);
+            _mm256_or_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(side, zero), on_edge)
+        }
+    }
+
+    /// The 4-lane [`cell_block2`].
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn cell_block4(px: __m256d, c: &[f64; 5], lanes: &[EdgeLanes4; 6]) -> (u32, u32) {
+        let diagonal = lanes[0].value(c[0], px);
+        let diag_a = lanes[0].test(diagonal);
+        let diag_b = lanes[3].test(diagonal);
+        let others_a = _mm256_and_pd(
+            lanes[1].test(lanes[1].value(c[1], px)),
+            lanes[2].test(lanes[2].value(c[2], px)),
+        );
+        let others_b = _mm256_and_pd(
+            lanes[4].test(lanes[4].value(c[3], px)),
+            lanes[5].test(lanes[5].value(c[4], px)),
+        );
+        let in_a = _mm256_and_pd(diag_a, others_a);
+        let in_b = _mm256_andnot_pd(diag_a, _mm256_and_pd(diag_b, others_b));
+        (
+            _mm256_movemask_pd(in_a) as u32,
+            _mm256_movemask_pd(in_b) as u32,
+        )
+    }
+
+    /// The AVX2 cell walk: up to 12 columns as three 4-lane blocks per
+    /// scanline, the row loop inside the kernel.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn walk_cell_avx2<S: Fn(f32, f32) -> f32, F: Fn(f32, f32) -> f32>(
+        data: &mut [f32],
+        width: usize,
+        cell: &FusedCell,
+        sample: &S,
+        apply: &F,
+    ) -> u64 {
+        // Pixel columns, converted exactly through i32.
+        let x0 = cell.x0 as i32;
+        let px = [
+            _mm256_cvtepi32_pd(_mm_setr_epi32(x0, x0 + 1, x0 + 2, x0 + 3)),
+            _mm256_cvtepi32_pd(_mm_setr_epi32(x0 + 4, x0 + 5, x0 + 6, x0 + 7)),
+            _mm256_cvtepi32_pd(_mm_setr_epi32(x0 + 8, x0 + 9, x0 + 10, x0 + 11)),
+        ];
+        let lanes = cell_edges(cell).map(|e| EdgeLanes4::new(e));
+        walk_cell_rows(data, width, cell, sample, apply, 4, |k, c| {
+            cell_block4(px[k], c, &lanes)
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1605,9 +1972,11 @@ mod x86 {
 // ---------------------------------------------------------------------------
 #[cfg(target_arch = "aarch64")]
 mod neon {
-    use super::{fill_tail, hoisted_lerp};
+    use super::{cell_edges, fill_tail, hoisted_lerp, walk_cell_rows};
     use crate::blend::BlendMode;
-    use crate::raster::{bilinear_axis, bilinear_sample, nearest_index, AttrRow};
+    use crate::raster::{
+        bilinear_axis, bilinear_sample, nearest_index, AttrRow, FusedCell, RowEdge,
+    };
     use core::arch::aarch64::*;
 
     #[inline]
@@ -2072,13 +2441,111 @@ mod neon {
             bilinear_sample(texels, tw, th, u_row.at(px) as f32, v_row.at(px) as f32) * intensity
         });
     }
+    /// The row-invariant part of one edge of a fused cell, splatted once
+    /// per cell: the slope `a`, the sign mask that normalises the edge by
+    /// its `flip`, and all-ones lanes when the edge `accept`s zero.
+    #[derive(Clone, Copy)]
+    struct EdgeLanes2 {
+        a: float64x2_t,
+        sign: uint64x2_t,
+        accept: uint64x2_t,
+    }
+
+    impl EdgeLanes2 {
+        #[inline]
+        #[target_feature(enable = "neon")]
+        fn new(e: RowEdge) -> EdgeLanes2 {
+            EdgeLanes2 {
+                a: vdupq_n_f64(e.a),
+                sign: vdupq_n_u64(u64::from(e.flip) << 63),
+                accept: vdupq_n_u64(0u64.wrapping_sub(u64::from(e.accept))),
+            }
+        }
+
+        /// The edge value `c + px·a` at 2 columns: multiply then add, as
+        /// [`RowEdge::value`].
+        #[inline]
+        #[target_feature(enable = "neon")]
+        fn value(&self, c: f64, px: float64x2_t) -> float64x2_t {
+            vaddq_f64(vdupq_n_f64(c), vmulq_f64(px, self.a))
+        }
+
+        /// [`RowEdge::test`] lane-wise: the value is sign-normalised (`±e`,
+        /// bit for bit: flipping the sign bit is exact IEEE negation), then
+        /// covered when `> 0`, or `== 0` on an accepting edge; NaN never is.
+        #[inline]
+        #[target_feature(enable = "neon")]
+        fn test(&self, value: float64x2_t) -> uint64x2_t {
+            let side = vreinterpretq_f64_u64(veorq_u64(vreinterpretq_u64_f64(value), self.sign));
+            let zero = vdupq_n_f64(0.0);
+            vorrq_u64(
+                vcgtq_f64(side, zero),
+                vandq_u64(vceqq_f64(side, zero), self.accept),
+            )
+        }
+    }
+
+    #[inline]
+    #[target_feature(enable = "neon")]
+    fn bits2(m: uint64x2_t) -> u32 {
+        // SAFETY: `uint64x2_t` and `[u64; 2]` are both 16 bytes, and every
+        // bit pattern is a valid value of each.
+        let lanes: [u64; 2] = unsafe { core::mem::transmute(m) };
+        ((lanes[0] & 1) | ((lanes[1] & 1) << 1)) as u32
+    }
+
+    /// Coverage of 2 columns by A and by B, as the x86 `cell_block2`: the
+    /// diagonal form evaluated once and normalised by each triangle's own
+    /// `flip`; B only takes the lanes A's diagonal test rejects.
+    #[inline]
+    #[target_feature(enable = "neon")]
+    fn cell_block2(px: float64x2_t, c: &[f64; 5], lanes: &[EdgeLanes2; 6]) -> (u32, u32) {
+        let diagonal = lanes[0].value(c[0], px);
+        let diag_a = lanes[0].test(diagonal);
+        let diag_b = lanes[3].test(diagonal);
+        let others_a = vandq_u64(
+            lanes[1].test(lanes[1].value(c[1], px)),
+            lanes[2].test(lanes[2].value(c[2], px)),
+        );
+        let others_b = vandq_u64(
+            lanes[4].test(lanes[4].value(c[3], px)),
+            lanes[5].test(lanes[5].value(c[4], px)),
+        );
+        let in_a = vandq_u64(diag_a, others_a);
+        let in_b = vbicq_u64(vandq_u64(diag_b, others_b), diag_a);
+        (bits2(in_a), bits2(in_b))
+    }
+
+    /// The NEON cell walk: up to 12 columns as six 2-lane blocks per
+    /// scanline, the row loop inside the kernel. Columns convert to `f64`
+    /// exactly, as the scalar `px as f64` does.
+    #[target_feature(enable = "neon")]
+    pub(super) fn walk_cell_neon<S: Fn(f32, f32) -> f32, F: Fn(f32, f32) -> f32>(
+        data: &mut [f32],
+        width: usize,
+        cell: &FusedCell,
+        sample: &S,
+        apply: &F,
+    ) -> u64 {
+        let mut px = [vdupq_n_f64(0.0); 6];
+        for (k, lanes) in px.iter_mut().enumerate() {
+            let col = cell.x0 + 2 * k;
+            *lanes = pair_f64(col as f64, (col + 1) as f64);
+        }
+        let lanes = cell_edges(cell).map(|e| EdgeLanes2::new(e));
+        walk_cell_rows(data, width, cell, sample, apply, 2, |k, c| {
+            cell_block2(px[k], c, &lanes)
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::blend::AlphaFactor;
+    use crate::raster::{RasterStats, TriSetup, Vertex, NARROW_TRIANGLE_WIDTH};
     use crate::texture::Texture;
+    use flowfield::Vec2;
     use proptest::prelude::*;
     use proptest::TestRng;
 
@@ -2392,6 +2859,217 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// A uniform draw from `[0, 1)`.
+    fn unit(rng: &mut TestRng) -> f64 {
+        (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// A random mesh cell `[v00, v10, v11, v01]` in a `tw`×`th` target,
+    /// built from `seed`: a jittered `cw`×`ch` rectangle (a few per cent are
+    /// four free points instead), turned through the full circle, mirrored
+    /// half the time (both windings), placed so its box is often clipped at
+    /// column 0 or at the last column, its coordinates snapped half the
+    /// time — to half-integers (pixel centres exactly on axis-aligned and
+    /// 45° edges), quarters or integers — and now and then one coordinate
+    /// replaced by NaN, +inf or -inf.
+    fn random_cell(seed: u64) -> (usize, usize, [Vertex; 4]) {
+        let mut rng = TestRng::deterministic(&format!("simd-cell-{seed}"));
+        let tw = 1 + (rng.next_u64() % 16) as usize;
+        let th = 1 + (rng.next_u64() % 6) as usize;
+        let origin = Vec2::new(
+            unit(&mut rng) * (tw as f64 + 4.0) - 3.0,
+            unit(&mut rng) * (th as f64 + 3.0) - 2.0,
+        );
+        let (cw, ch) = (0.2 + unit(&mut rng) * 12.0, 0.2 + unit(&mut rng) * 5.0);
+        let (sin, cos) = (unit(&mut rng) * std::f64::consts::TAU).sin_cos();
+        let mirror = if rng.next_u64().is_multiple_of(2) {
+            1.0
+        } else {
+            -1.0
+        };
+        let free = rng.next_u64().is_multiple_of(16);
+        let mut corners = [(0.0, 0.0), (cw, 0.0), (cw, ch), (0.0, ch)].map(|(x, y)| {
+            let (x, y) = if free {
+                (unit(&mut rng) * cw, unit(&mut rng) * ch)
+            } else {
+                (
+                    x + (unit(&mut rng) - 0.5) * 0.6,
+                    y + (unit(&mut rng) - 0.5) * 0.6,
+                )
+            };
+            origin + Vec2::new(mirror * (x * cos - y * sin), x * sin + y * cos)
+        });
+        let snap = rng.next_u64() % 6;
+        for p in &mut corners {
+            for c in [&mut p.x, &mut p.y] {
+                *c = match snap {
+                    0 => (*c - 0.5).round() + 0.5,
+                    1 => (*c * 4.0).round() / 4.0,
+                    2 => c.round(),
+                    _ => *c,
+                };
+            }
+        }
+        if rng.next_u64().is_multiple_of(8) {
+            let p = &mut corners[(rng.next_u64() % 4) as usize];
+            let c = if rng.next_u64().is_multiple_of(2) {
+                &mut p.x
+            } else {
+                &mut p.y
+            };
+            *c = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][(rng.next_u64() % 3) as usize];
+        }
+        let uv = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)];
+        let vertices = [0, 1, 2, 3].map(|i| Vertex::new(corners[i], uv[i].0, uv[i].1));
+        (tw, th, vertices)
+    }
+
+    /// What one fused cell exercised: its winding, each edge's `(flip,
+    /// accept)` (A's diagonal and other two edges, then B's), its box width,
+    /// whether the box was clipped at column 0 / at the last column, whether
+    /// a pixel centre lay exactly on an edge and whether a coordinate was
+    /// not finite.
+    #[derive(Debug, Clone, Copy)]
+    struct CellCase {
+        clockwise: bool,
+        edges: [(bool, bool); 6],
+        width: usize,
+        clipped: (bool, bool),
+        on_edge: bool,
+        non_finite: bool,
+    }
+
+    /// Sets up the cell of `random_cell(seed)` and, when it fuses, runs
+    /// [`walk_cell`] on it at every available level and checks each run bit
+    /// for bit against the per-triangle predicate: a pixel is shaded with
+    /// triangle `t`'s uv rows exactly when it lies in `t`'s own box and
+    /// [`RowEdge::covers`] holds for all three of `t`'s edges (and no pixel
+    /// is covered by both). Returns what the cell exercised, or `None` when
+    /// it did not fuse.
+    ///
+    /// [`RowEdge::covers`]: crate::raster::RowEdge::covers
+    fn check_cell_kernel(seed: u64) -> Result<Option<CellCase>, TestCaseError> {
+        let (tw, th, [v00, v10, v11, v01]) = random_cell(seed);
+        let target = Texture::new(tw, th);
+        let mut stats = RasterStats::default();
+        let a = TriSetup::new(&target, v00, v10, v11, &mut stats);
+        let b = TriSetup::new(&target, v00, v11, v01, &mut stats);
+        let (Some(a), Some(b)) = (a, b) else {
+            return Ok(None);
+        };
+        let Some(cell) = FusedCell::fuse(&a, &b) else {
+            return Ok(None);
+        };
+        // Order-sensitive blend: a pixel blended twice, or shaded with the
+        // other triangle's uv rows, changes its bits.
+        let sample = |u: f32, v: f32| u * 3.0 - v;
+        let apply = |d: f32, s: f32| d * 0.5 + s;
+        let base = data("cell-dst", seed, tw * th);
+        let mut want = base.clone();
+        let mut fragments = 0;
+        let mut on_edge = false;
+        for py in cell.y0..=cell.y1 {
+            for px in cell.x0..=cell.x1 {
+                let covered = [0, 1].map(|t| {
+                    let edges = cell.edges(t, py);
+                    on_edge |= edges.iter().any(|e| e.value(px) == 0.0);
+                    (cell.box_bits(t, py) >> (px - cell.x0)) & 1 == 1
+                        && edges.iter().all(|e| e.covers(px))
+                });
+                prop_assert!(!(covered[0] && covered[1]), "({px}, {py}) covered twice");
+                if let Some(t) = covered.iter().position(|&c| c) {
+                    let (u_row, v_row) = cell.uv_rows(t, py);
+                    let texel = &mut want[py * tw + px];
+                    *texel = apply(*texel, sample(u_row.at(px) as f32, v_row.at(px) as f32));
+                    fragments += 1;
+                }
+            }
+        }
+        for level in available() {
+            let mut got = base.clone();
+            let drawn = walk_cell(level, &mut got, tw, &cell, &sample, &apply);
+            prop_assert_eq!(drawn, fragments, "fragment count at {}", level.name());
+            assert_bits_eq(&got, &want, level.name())?;
+        }
+        let positions = [v00, v10, v11, v01].map(|v| v.position);
+        let signature = |t: usize| cell.edges(t, cell.y0).map(|e| (e.flip, e.accept));
+        let [a_edges, b_edges] = [signature(0), signature(1)];
+        Ok(Some(CellCase {
+            clockwise: (positions[1] - positions[0]).cross(positions[2] - positions[0]) < 0.0,
+            edges: [
+                a_edges[0], a_edges[1], a_edges[2], b_edges[0], b_edges[1], b_edges[2],
+            ],
+            width: cell.x1 - cell.x0 + 1,
+            clipped: (
+                positions.iter().any(|p| p.x < 0.0) && cell.x0 == 0,
+                positions.iter().any(|p| p.x > tw as f64 - 1.0) && cell.x1 == tw - 1,
+            ),
+            on_edge,
+            non_finite: positions
+                .iter()
+                .any(|p| !(p.x.is_finite() && p.y.is_finite())),
+        }))
+    }
+
+    #[test]
+    fn cell_kernel_cases_reach_every_width_winding_flip_and_accept() {
+        // The property below only pins the kernel where its random cells
+        // reach: check that they reach every box width, both windings, both
+        // `flip` and both `accept` values of every edge, clipped boxes at
+        // both target borders, pixel centres on edges and non-finite
+        // coordinates.
+        let cases: Vec<CellCase> = (0..4000)
+            .filter_map(|seed| check_cell_kernel(seed).unwrap())
+            .collect();
+        for width in 1..=NARROW_TRIANGLE_WIDTH {
+            assert!(
+                cases.iter().any(|c| c.width == width),
+                "no fused cell {width} wide"
+            );
+        }
+        for clockwise in [false, true] {
+            assert!(
+                cases.iter().any(|c| c.clockwise == clockwise),
+                "winding {clockwise}"
+            );
+        }
+        for slot in 0..6 {
+            for flip in [false, true] {
+                for accept in [false, true] {
+                    assert!(
+                        cases.iter().any(|c| c.edges[slot] == (flip, accept)),
+                        "edge {slot} never had flip={flip}, accept={accept}"
+                    );
+                }
+            }
+        }
+        assert!(
+            cases.iter().any(|c| c.clipped.0),
+            "no box clipped at column 0"
+        );
+        assert!(
+            cases.iter().any(|c| c.clipped.1),
+            "no box clipped at the last column"
+        );
+        assert!(
+            cases.iter().any(|c| c.on_edge),
+            "no pixel centre on an edge"
+        );
+        assert!(
+            cases.iter().any(|c| c.non_finite),
+            "no non-finite coordinate"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn walk_cell_matches_the_per_triangle_predicate_at_every_level(seed in 0u64..1_000_000_000) {
+            check_cell_kernel(seed)?;
         }
     }
 

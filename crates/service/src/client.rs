@@ -425,21 +425,6 @@ impl ServiceClient {
         }
     }
 
-    /// Fetches frame `index` with an `X-Deadline-Ms` budget: the server
-    /// sheds the request (a `Busy` error here) when the remaining budget
-    /// cannot cover its current queue wait.
-    pub fn fetch_frame_with_deadline(
-        &mut self,
-        session: &str,
-        index: u64,
-        deadline: Duration,
-    ) -> Result<FetchedFrame, ClientError> {
-        let path = format!("/sessions/{session}/frame/{index}");
-        let headers = [("X-Deadline-Ms", deadline.as_millis().to_string())];
-        let reply = Self::expect_success(self.request_with_headers("GET", &path, &headers, b"")?)?;
-        Self::frame_from_reply(reply)
-    }
-
     /// Fetches frame `index`, retrying `Busy` sheds and read timeouts under
     /// `policy`: jittered exponential backoff, never sleeping less than the
     /// server's `Retry-After` hint. A timeout additionally reconnects first
@@ -694,9 +679,12 @@ pub struct ClientPool {
     addr: SocketAddr,
     connect_timeout: Option<Duration>,
     read_timeout: Option<Duration>,
-    max_idle: usize,
     idle: Mutex<Vec<ServiceClient>>,
 }
+
+/// Idle connections a [`ClientPool`] shelves at most; excess connections are
+/// dropped on check-in.
+const MAX_IDLE_CONNECTIONS: usize = 8;
 
 impl ClientPool {
     /// Creates a pool for one target address with the default read deadline
@@ -706,7 +694,6 @@ impl ClientPool {
             addr,
             connect_timeout: None,
             read_timeout: Some(DEFAULT_READ_TIMEOUT),
-            max_idle: 8,
             idle: Mutex::new(Vec::new()),
         }
     }
@@ -721,13 +708,6 @@ impl ClientPool {
     /// blocks forever).
     pub fn with_read_timeout(mut self, timeout: Option<Duration>) -> Self {
         self.read_timeout = timeout;
-        self
-    }
-
-    /// Caps how many idle connections the pool shelves (excess connections
-    /// are simply dropped on check-in).
-    pub fn with_max_idle(mut self, max_idle: usize) -> Self {
-        self.max_idle = max_idle;
         self
     }
 
@@ -848,7 +828,7 @@ impl Drop for PooledClient<'_> {
                 return;
             }
             let mut shelf = self.pool.idle_shelf();
-            if shelf.len() < self.pool.max_idle {
+            if shelf.len() < MAX_IDLE_CONNECTIONS {
                 shelf.push(client);
             }
         }

@@ -90,7 +90,7 @@ pub use client::{
 pub use cluster::{ClusterSessionId, HashRing};
 pub use node::{FrameResult, NodeCore, ServiceError, ServiceOptions};
 pub use pressure::{PressureConfig, PressureCounters, PressureGauge, PressureState};
-pub use queue::{AdmissionConfig, AdmissionError, FrameQueue, QueueStats};
+pub use queue::{AdmissionConfig, AdmissionError, FrameQueue, QueueStats, QueueWait};
 pub use router::{serve_router, Router, RouterHandle, RouterOptions};
 pub use server::{serve, FrontHandle, Frontend, Service, ServiceHandle};
 pub use session::{ServedFrame, Session, SessionRegistry};

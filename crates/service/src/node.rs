@@ -24,7 +24,7 @@ use crate::cache::{FrameCache, FrameKey};
 use crate::channel::{ChannelRegistry, ChannelTotals};
 use crate::client::ClientPool;
 use crate::pressure::{PressureConfig, PressureCounters, PressureGauge, PressureState};
-use crate::queue::{AdmissionConfig, AdmissionError, FrameQueue, QueueStats};
+use crate::queue::{AdmissionConfig, AdmissionError, FrameQueue, QueueStats, QueueWait};
 use crate::session::{
     format_session_id, InFlightGuard, RegistryError, RegistryStats, RenderError, Session,
     SessionRegistry, SharedPools,
@@ -168,9 +168,6 @@ pub struct FrameResult {
 
 pub(crate) struct FrameJob {
     frame: u64,
-    /// When the job was submitted to the admission queue — the start of the
-    /// queue-wait trace span a worker records on pickup.
-    submitted: Instant,
     /// The session the frame is rendered on. Carried in the job — the
     /// worker never re-resolves the id through the registry, so an
     /// admitted request renders even if its session is closed or evicted
@@ -545,11 +542,6 @@ impl NodeCore {
         state
     }
 
-    /// The current pressure state without re-evaluating the gauge.
-    pub fn pressure_state(&self) -> PressureState {
-        self.pressure.state()
-    }
-
     /// Steers a session to a new field (restarting its animation clock).
     pub fn steer(&self, id: u64, field: FieldSpec) -> Result<(), ServiceError> {
         let session = lock_recover(&self.registry, |_| {})
@@ -808,7 +800,6 @@ impl NodeCore {
             queue_id,
             FrameJob {
                 frame,
-                submitted: Instant::now(),
                 session: Arc::clone(&session),
                 deadline,
                 reply: tx,
@@ -891,10 +882,10 @@ impl NodeCore {
                     continue;
                 }
             };
-            let Some((queue_sid, job)) = popped else {
+            let Some((queue_sid, job, wait)) = popped else {
                 break;
             };
-            let outcome = self.execute(queue_sid, &job);
+            let outcome = self.execute(queue_sid, &job, wait);
             // A hung-up client (timeout, disconnect) makes send fail; the
             // work is already done and cached, so that is not an error.
             let _ = job.reply.send(outcome);
@@ -902,7 +893,12 @@ impl NodeCore {
         }
     }
 
-    fn execute(&self, queue_sid: u64, job: &FrameJob) -> Result<FrameResult, ServiceError> {
+    fn execute(
+        &self,
+        queue_sid: u64,
+        job: &FrameJob,
+        wait: QueueWait,
+    ) -> Result<FrameResult, ServiceError> {
         // Every span this job's synthesis emits carries the queue id (the
         // session id, or the channel id for shared sessions) as its actor.
         let ctx = TraceCtx {
@@ -910,13 +906,11 @@ impl NodeCore {
             frame: job.frame,
         };
         let _trace_ctx = telemetry::set_ctx(ctx);
-        self.telemetry.trace.record_with(
-            TraceStage::QueueWait,
-            ctx,
-            job.submitted,
-            job.submitted.elapsed(),
-            0,
-        );
+        // The wait the queue measured and put in its histogram: /trace and
+        // /metrics report one number for it.
+        self.telemetry
+            .trace
+            .record_with(TraceStage::QueueWait, ctx, wait.since, wait.waited, 0);
         // The deadline is re-checked now that the queue wait is behind us:
         // a job that expired in line is dropped before any synthesis.
         if let Some(deadline) = job.deadline {

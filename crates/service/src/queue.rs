@@ -98,6 +98,18 @@ fn revalidate_inner<T>(inner: &mut Inner<T>) {
     inner.peak_depth = inner.peak_depth.max(inner.depth);
 }
 
+/// How long a popped job waited in line: from its admission instant to the
+/// moment [`FrameQueue::pop`] handed it out. This one measurement is what
+/// the wait histogram records, so a worker's trace span of the wait (same
+/// start, same duration) agrees with it.
+#[derive(Debug, Clone, Copy)]
+pub struct QueueWait {
+    /// When the job was admitted.
+    pub since: Instant,
+    /// Admission to pickup, including any injected `"queue"` delay.
+    pub waited: Duration,
+}
+
 /// A bounded, session-fair frame-request queue.
 pub struct FrameQueue<T> {
     config: AdmissionConfig,
@@ -177,9 +189,10 @@ impl<T> FrameQueue<T> {
         Ok(())
     }
 
-    /// Blocks until a job is available and returns it with its session id,
-    /// or `None` once the queue is closed and drained (worker exit signal).
-    pub fn pop(&self) -> Option<(u64, T)> {
+    /// Blocks until a job is available and returns it with its session id
+    /// and its [`QueueWait`], or `None` once the queue is closed and drained
+    /// (worker exit signal).
+    pub fn pop(&self) -> Option<(u64, T, QueueWait)> {
         let mut inner = self.locked();
         loop {
             if let Some(session) = inner.rotation.pop_front() {
@@ -203,10 +216,14 @@ impl<T> FrameQueue<T> {
                 // recorded (an injected delay shows up as queue pressure,
                 // which is what the chaos suite steers the ladder with).
                 softpipe::fault::fire("queue");
+                let waited = QueueWait {
+                    since: queued_at,
+                    waited: queued_at.elapsed(),
+                };
                 if let Some(wait) = wait {
-                    wait.record_duration(queued_at.elapsed());
+                    wait.record_duration(waited.waited);
                 }
-                return Some((session, job));
+                return Some((session, job, waited));
             }
             if inner.closed {
                 return None;
@@ -314,10 +331,13 @@ mod tests {
         q.set_wait_histogram(Arc::clone(&wait));
         q.submit(1, 0).unwrap();
         q.submit(2, 1).unwrap();
-        q.pop().unwrap();
-        q.pop().unwrap();
+        let waits = [q.pop().unwrap().2, q.pop().unwrap().2];
         let snap = wait.snapshot();
         assert_eq!(snap.count, 2);
+        // The histogram holds exactly the waits pop handed out.
+        let micros: u64 = waits.iter().map(|w| w.waited.as_micros() as u64).sum();
+        assert_eq!(snap.sum, micros);
+        assert!(waits[0].since <= waits[1].since);
     }
 
     #[test]
@@ -349,7 +369,7 @@ mod tests {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
                 let mut seen = Vec::new();
-                while let Some((_, job)) = q.pop() {
+                while let Some((_, job, _)) = q.pop() {
                     seen.push(job);
                     q.complete();
                 }

@@ -422,3 +422,64 @@ fn env_grammar_delay_fault_pressures_but_never_quarantines() {
     fault::clear();
     handle.shutdown();
 }
+
+/// A job held up by the `"queue"` delay fault reports one wait: the
+/// `queue_wait` histogram in `/metrics` and the `queue_wait` span in
+/// `/trace` are the same start instant and the same duration, so the two
+/// surfaces agree to the microsecond.
+#[test]
+fn delayed_queue_wait_is_the_same_in_metrics_and_trace() {
+    use spotnoise::telemetry::{self, TraceMode};
+    let _serial = fault_lock();
+
+    telemetry::force_mode(Some(TraceMode::Ring));
+    let handle = serve(
+        "127.0.0.1:0",
+        ServiceOptions {
+            workers: 1,
+            cache_bytes: 0,
+            ..ServiceOptions::default()
+        },
+    )
+    .expect("bind loopback");
+    telemetry::force_mode(None);
+    let mut client = ServiceClient::connect(handle.addr()).expect("connect");
+    let session = client
+        .create_session(&session_body(23, 1.0, 32))
+        .expect("create session");
+    fault::install(FaultPlan::parse("delay:queue:25ms").expect("delay plan parses"));
+    client.fetch_frame(&session, 0).expect("delayed fetch");
+    fault::clear();
+
+    let metrics = client.metrics().expect("GET /metrics");
+    let series = |name: &str| {
+        metrics
+            .lines()
+            .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no {name} in /metrics"))
+            .parse::<f64>()
+            .expect("numeric sample")
+    };
+    assert_eq!(
+        series("spotnoise_queue_wait_us_count"),
+        1.0,
+        "one queued job"
+    );
+    let metric_wait = series("spotnoise_queue_wait_us_sum");
+
+    let trace = client.trace(512).expect("GET /trace");
+    let spans: Vec<f64> = trace
+        .get("traceEvents")
+        .and_then(Json::as_array)
+        .expect("traceEvents array")
+        .iter()
+        .filter(|e| e.get("name").and_then(Json::as_str) == Some("queue_wait"))
+        .map(|e| e.get("dur").and_then(Json::as_f64).expect("span dur"))
+        .collect();
+    assert_eq!(spans, vec![metric_wait], "/trace and /metrics disagree");
+    assert!(
+        metric_wait >= 25_000.0,
+        "the injected 25 ms delay is part of the wait: {metric_wait} us"
+    );
+    handle.shutdown();
+}
